@@ -15,7 +15,7 @@
 //     evaluator (spot-checked on one shape per family to bound runtime).
 //
 // Results land in BENCH_target_compare.json: per-family cce_cycles /
-// simt_cycles gate at the usual 25% in bench_diff.py; hit rates and
+// simt_cycles gate exactly in bench_diff.py; hit rates and
 // aliasing/mismatch counters gate structurally (they are 0/1-exact).
 //
 //===----------------------------------------------------------------------===//

@@ -6,6 +6,7 @@
 #include "support/Env.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
+#include "target/TargetBackend.h"
 
 #include <algorithm>
 #include <chrono>
@@ -47,14 +48,18 @@ compileModulesParallel(const std::vector<CompileJob> &Jobs,
 namespace {
 
 /// A service-fabricated result (shed, quarantined, chaos fault, cancel):
-/// carries a valid scalar fallback kernel unless \p WithKernel is off,
-/// one terminal trace event, and the outcome; dumped like a real compile
-/// so chaos-run JSONL logs are complete.
-CompileResult serviceResult(const ir::Module &M, const std::string &Name,
-                            ErrCode Code, const char *Event,
-                            const std::string &Note, bool WithKernel = true) {
+/// carries a valid scalar fallback kernel for the request's target unless
+/// \p WithKernel is off, one terminal trace event, the target, and the
+/// outcome; dumped like a real compile so chaos-run JSONL logs are
+/// complete.
+CompileResult serviceResult(const ir::Module &M, const AkgOptions &Opts,
+                            const std::string &Name, ErrCode Code,
+                            const char *Event, const std::string &Note,
+                            bool WithKernel = true) {
+  sim::TargetKind Target = resolveTarget(Opts);
   CompileResult Res;
   Res.Trace.Kernel = Name;
+  Res.Trace.Target = sim::targetName(Target);
   if (Code != ErrCode::Ok) {
     Res.Outcome = Status::error(Code, Note);
     Res.Trace.Outcome = errCodeName(Code);
@@ -68,9 +73,9 @@ CompileResult serviceResult(const ir::Module &M, const std::string &Name,
   E.Degradations.push_back(Res.Degradation.Steps.back());
   Res.Trace.Events.push_back(std::move(E));
   if (WithKernel) {
-    Res.Kernel = cce::lowerScalarFallback(M, Name);
-    Res.Sync = cce::insertSynchronization(Res.Kernel,
-                                          cce::SyncStrategy::FullSerial);
+    const TargetBackend &TB = targetBackend(Target);
+    Res.Kernel = TB.scalarFallback(M, Name);
+    Res.Sync = TB.insertSync(Res.Kernel, cce::SyncStrategy::FullSerial);
   }
   trace::maybeDump(Res.Trace);
   return Res;
@@ -220,7 +225,7 @@ CompileService::submitShared(std::shared_ptr<const ir::Module> M,
       ++NShed;
       if (Stats::enabled())
         Stats::get().add("service.shed");
-      P.set_value(serviceResult(*M, Name, ErrCode::Overloaded, "shed",
+      P.set_value(serviceResult(*M, Opts, Name, ErrCode::Overloaded, "shed",
                                 "queue full (depth " + std::to_string(Depth) +
                                     "); policy reject",
                                 /*WithKernel=*/false));
@@ -230,7 +235,7 @@ CompileService::submitShared(std::shared_ptr<const ir::Module> M,
       ++NDegraded;
       if (Stats::enabled())
         Stats::get().add("service.degraded");
-      P.set_value(serviceResult(*M, Name, ErrCode::Ok, "shed",
+      P.set_value(serviceResult(*M, Opts, Name, ErrCode::Ok, "shed",
                                 "queue full (depth " + std::to_string(Depth) +
                                     "); policy degrade: scalar rung"));
     }
@@ -280,7 +285,7 @@ CompileResult CompileService::runOne(const ir::Module &M, AkgOptions Opts,
     CacheKey K = makeCacheKey(M, Opts);
     if (std::optional<std::string> Why = Quar.check(K)) {
       ++NQuarantined;
-      return serviceResult(M, Name, ErrCode::Quarantined, "quarantined",
+      return serviceResult(M, Opts, Name, ErrCode::Quarantined, "quarantined",
                            "poison-pill fingerprint: " + *Why);
     }
 
@@ -322,7 +327,7 @@ CompileResult CompileService::runOne(const ir::Module &M, AkgOptions Opts,
           ErrCode Code = A.Transient ? ErrCode::Unavailable
                                      : ErrCode::FaultInjected;
           Quar.recordFailure(K, Code, "chaos-injected fault");
-          return serviceResult(M, Name, Code, "chaos_fault",
+          return serviceResult(M, Opts, Name, Code, "chaos_fault",
                                A.Transient
                                    ? "transient fault; retries exhausted"
                                    : "deterministic chaos fault");
@@ -354,7 +359,7 @@ CompileResult CompileService::runOne(const ir::Module &M, AkgOptions Opts,
   } catch (const CancelledError &E) {
     // Tripped outside the pipeline (queue wait, chaos sleep, cache wait):
     // the pipeline's own unwinding never lets CancelledError escape.
-    return serviceResult(M, Name, E.code(), errCodeName(E.code()),
+    return serviceResult(M, Opts, Name, E.code(), errCodeName(E.code()),
                          std::string(E.what()) + " in '" + E.where() + "'");
   }
 }

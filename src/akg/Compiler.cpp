@@ -61,10 +61,12 @@ CompileResult compileWithAkg(const Module &MIn, const AkgOptions &Opts,
   }
   CompileResult Res;
   Res.Degradation.record(Where, Reason, "scalar fallback kernel");
-  const TargetBackend &TB = targetBackend(resolveTarget(Opts));
+  sim::TargetKind Target = resolveTarget(Opts);
+  const TargetBackend &TB = targetBackend(Target);
   Res.Kernel = TB.scalarFallback(MIn, Name);
   Res.Sync = TB.insertSync(Res.Kernel, cce::SyncStrategy::FullSerial);
   Res.Trace.Kernel = Name;
+  Res.Trace.Target = sim::targetName(Target);
   TraceEvent E;
   E.Pass = "exception_fallback";
   E.Id = Where;

@@ -2,6 +2,8 @@
 
 #include "sim/DynRun.h"
 
+#include "sim/SimtRun.h"
+
 #include <algorithm>
 #include <cassert>
 #include <limits>
@@ -73,13 +75,29 @@ std::vector<int64_t> repShape(const ir::Tensor &T, const ShapeBinding &B) {
   return Shape;
 }
 
+/// Runs \p K on the simulator of the target it was lowered for. SIMT
+/// kernels run on SimtSpec::sm80(), as verifyKernel does, and report the
+/// fields the two result types share.
+SimResult simulateOn(const cce::Kernel &K, const MachineSpec &Spec,
+                     ir::BufferMap *Gm, const SimOptions &Opts) {
+  if (K.Target != TargetKind::Simt)
+    return simulate(K, Spec, Gm, Opts);
+  SimtResult T = simulateSimt(K, SimtSpec::sm80(), Gm, Opts);
+  SimResult S;
+  S.Cycles = T.Cycles;
+  S.Truncated = T.Truncated;
+  S.DynamicInstrs = T.DynamicInstrs;
+  S.GmTrafficBytes = T.GmTrafficBytes;
+  return S;
+}
+
 } // namespace
 
 SimResult runBound(const CompileResult &R, const ir::Module &RequestM,
                    const MachineSpec &Spec, ir::BufferMap *Gm,
                    const SimOptions &Opts) {
   if (!R.DynShape || !Gm)
-    return simulate(R.Kernel, Spec, Gm, Opts);
+    return simulateOn(R.Kernel, Spec, Gm, Opts);
   const ShapeBinding &B = *R.DynShape;
   // Pad every dynamic input up to the representative extents; static
   // buffers pass through by reference into the padded map.
@@ -90,7 +108,7 @@ SimResult runBound(const CompileResult &R, const ir::Module &RequestM,
       continue;
     It->second = copyBox(It->second, In->Shape, repShape(In, B));
   }
-  SimResult S = simulate(R.Kernel, Spec, &Padded, Opts);
+  SimResult S = simulateOn(R.Kernel, Spec, &Padded, Opts);
   // Slice every materialized dynamic tensor back to the request extents;
   // everything else (including static outputs) merges through unchanged.
   for (const ir::Tensor &T : RequestM.allTensors()) {

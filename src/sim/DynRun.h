@@ -22,11 +22,13 @@
 namespace akg {
 namespace sim {
 
-/// Runs \p R on machine \p Spec against \p Gm, whose buffers hold the
-/// CONCRETE request shapes of \p RequestM. When R.DynShape is set, pads
-/// dynamic inputs to the representative extents, simulates the skeleton,
-/// and slices outputs back; otherwise plain simulate(). Outputs are
-/// written into \p Gm at the request shapes either way.
+/// Runs \p R against \p Gm, whose buffers hold the CONCRETE request
+/// shapes of \p RequestM, on the simulator of R.Kernel.Target: machine
+/// \p Spec for CCE kernels, SimtSpec::sm80() for SIMT kernels (as
+/// verifyKernel does). When R.DynShape is set, pads dynamic inputs to the
+/// representative extents, simulates the skeleton, and slices outputs
+/// back; otherwise a plain simulation. Outputs are written into \p Gm at
+/// the request shapes either way.
 SimResult runBound(const CompileResult &R, const ir::Module &RequestM,
                    const MachineSpec &Spec, ir::BufferMap *Gm,
                    const SimOptions &Opts = SimOptions());

@@ -1,6 +1,6 @@
 //===- sim/SimtRun.h - SIMT machine simulator -------------------*- C++ -*-===//
 //
-// Executes SIMT kernels (target/SimtLower.h) on the grid-of-thread-blocks
+// Executes SIMT kernels (target/Codegen.h) on the grid-of-thread-blocks
 // machine model (sim::SimtSpec). Mirrors sim/Simulator.h's split:
 //
 //  * Functional execution: semantic payloads run in program order against

@@ -1,4 +1,4 @@
-//===- target/Codegen.cpp - AST -> CCE instruction lowering ---------------===//
+//===- target/Codegen.cpp - AST -> CCE/SIMT kernel lowering ---------------===//
 
 #include "target/Codegen.h"
 
@@ -352,29 +352,77 @@ Tensor makeLocal(std::string Name, std::vector<int64_t> Shape, DType T) {
 }
 
 //===----------------------------------------------------------------------===//
+// Target descriptions
+//===----------------------------------------------------------------------===//
+
+/// What the lowering driver needs to know about a target, fixed per
+/// target kind. Everything else (escape analysis, box sizing, the top-level
+/// and region walks, store-back, unit emission) is shared; beyond these
+/// fields the only target code is the Cube emitter (CCE) and the launch
+/// shape (SIMT).
+struct TargetLowering {
+  sim::TargetKind Kind;
+  /// Memory the boxes of an on_chip region are staged in, and the infix
+  /// of their buffer names.
+  sim::Buffer Staging;
+  const char *BoxInfix;
+  /// How many of the outermost tile loops outside any region bind to a
+  /// grid dimension (blockIdx.x/y/z), one tile per thread block.
+  unsigned GridDims;
+  /// cube_unit marks run the img2col / fractal-load / MMAD emitter.
+  /// Without a cube unit (SIMT) matmul and conv units lower like any
+  /// other compute unit.
+  bool CubeUnits;
+};
+
+const TargetLowering CceLowering = {sim::TargetKind::Cce, sim::Buffer::UB,
+                                    "_ub_r", /*GridDims=*/0,
+                                    /*CubeUnits=*/true};
+const TargetLowering SimtLowering = {sim::TargetKind::Simt,
+                                     sim::Buffer::Shared, "_sm_r",
+                                     /*GridDims=*/3, /*CubeUnits=*/false};
+
+const char *const GridDimNames[] = {"blockIdx.x", "blockIdx.y", "blockIdx.z"};
+
+//===----------------------------------------------------------------------===//
 // The lowering driver
 //===----------------------------------------------------------------------===//
 
 class Lowering {
 public:
-  Lowering(const Module &M, const PolyProgram &P, const CodegenOptions &O)
-      : Mod(M), Prog(P), Opts(O) {}
+  Lowering(const TargetLowering &T, const Module &M, const PolyProgram &P,
+           const CodegenOptions &O)
+      : Tgt(T), Mod(M), Prog(P), Opts(O),
+        StagingBytes(sim::TargetSpec{T.Kind, O.Machine, O.Simt}.bufferBytes(
+            T.Staging)) {}
 
   Kernel run(const Stmt &Ast, const std::string &Name) {
     K.Name = Name;
+    K.Target = Tgt.Kind;
     K.GmTensors = Mod.allTensors();
     for (const Tensor &T : Mod.outputs())
       OutputNames.insert(T->Name);
     int ScanRegion = 0;
     scanUses(Ast, /*Region=*/0, ScanRegion);
-    lowerTop(Ast, K.Body);
+    lowerTop(Ast, K.Body, /*GridDepth=*/0, /*Blocks=*/1);
+    if (Tgt.Kind == sim::TargetKind::Simt) {
+      // Launch shape: warp-rounded block size covering the widest
+      // thread-mapped unit, capped by the per-block thread limit.
+      int64_t Threads = roundUpTo(std::max<int64_t>(MaxUnitElems, 1),
+                                  Opts.Simt.WarpSize);
+      Threads = std::min(Threads, Opts.Simt.MaxThreadsPerBlock);
+      K.BlockThreads = std::max(Threads, Opts.Simt.WarpSize);
+      K.GridBlocks = std::max<int64_t>(GridEst, 1);
+    }
     return K;
   }
 
 private:
+  const TargetLowering &Tgt;
   const Module &Mod;
   const PolyProgram &Prog;
   CodegenOptions Opts;
+  int64_t StagingBytes;
   Kernel K;
 
   std::set<std::string> OutputNames;
@@ -382,6 +430,8 @@ private:
   std::set<std::string> DbBoxes; // double-buffered on-chip buffers
   int RegionCounter = 0;
   int UnitCounter = 0;
+  int64_t MaxUnitElems = 0; // widest vector (thread-mapped) unit
+  int64_t GridEst = 1;      // grid-mapped tiles on the widest path
 
   // -- escape analysis ----------------------------------------------------
 
@@ -466,7 +516,7 @@ private:
     Tensor Global;
     std::vector<int64_t> Shape;
     bool Loaded = false;
-    bool LoadedMte2 = false;
+    bool LoadedFromGm = false;
     std::vector<Instr *> SizedInstrs; // loads/stores sized at finalize
   };
 
@@ -493,7 +543,7 @@ private:
     if (It == RS.Boxes.end()) {
       Box B;
       B.BufName =
-          uniqueBufName(T->Name + "_ub_r" + std::to_string(RS.Id));
+          uniqueBufName(T->Name + Tgt.BoxInfix + std::to_string(RS.Id));
       B.Global = T;
       B.Shape.assign(T->Shape.size(), 1);
       It = RS.Boxes.emplace(T->Name, std::move(B)).first;
@@ -538,17 +588,27 @@ private:
     }
   }
 
-  void lowerTop(const Stmt &S, std::vector<InstrPtr> &Out) {
+  /// \p GridDepth grid-mapped loops enclose \p S, covering \p Blocks
+  /// first-tile iterations between them.
+  void lowerTop(const Stmt &S, std::vector<InstrPtr> &Out, unsigned GridDepth,
+                int64_t Blocks) {
     if (!S)
       return;
     switch (S->Kind) {
     case StmtKind::Block:
       for (const Stmt &C : S->Children)
-        lowerTop(C, Out);
+        lowerTop(C, Out, GridDepth, Blocks);
       return;
     case StmtKind::For: {
       InstrPtr L = makeLoop(S->Var, S->Min, S->Extent);
-      lowerTop(S->Children.empty() ? nullptr : S->Children[0], L->Body);
+      // Grid mapping (SIMT): one tile of this loop per thread block.
+      if (GridDepth < Tgt.GridDims) {
+        L->MapDim = GridDimNames[GridDepth++];
+        Blocks *= std::max<int64_t>(1, evalFirstTile(S->Extent));
+        GridEst = std::max(GridEst, Blocks);
+      }
+      lowerTop(S->Children.empty() ? nullptr : S->Children[0], L->Body,
+               GridDepth, Blocks);
       if (L->Body.empty())
         return;
       if (Opts.EnableDoubleBuffer) {
@@ -567,14 +627,17 @@ private:
         lowerRegion(S->Children.empty() ? nullptr : S->Children[0], Out);
         return;
       }
-      lowerTop(S->Children.empty() ? nullptr : S->Children[0], Out);
+      lowerTop(S->Children.empty() ? nullptr : S->Children[0], Out,
+               GridDepth, Blocks);
       return;
     case StmtKind::Allocate:
-      lowerTop(S->Children.empty() ? nullptr : S->Children[0], Out);
+      lowerTop(S->Children.empty() ? nullptr : S->Children[0], Out,
+               GridDepth, Blocks);
       return;
     default: {
       // A statement outside any on_chip region: run it on the scalar unit
-      // against global memory (robust catch-all; no on-chip allocation).
+      // (one thread) against global memory (robust catch-all; no on-chip
+      // allocation).
       std::vector<const ExprNode *> Reads;
       std::vector<const StmtNode *> Writes;
       collectUnitAccesses(S, Reads, Writes);
@@ -614,13 +677,13 @@ private:
       Out.push_back(std::move(D));
     }
 
-    // Finalize UB boxes: allocations, double-buffer flags, DMA sizes.
+    // Finalize staged boxes: allocations, double-buffer flags, DMA sizes.
     for (const std::string &Name : RS.BoxOrder) {
       Box &B = RS.Boxes[Name];
       Tensor Decl = makeLocal(B.BufName, B.Shape, B.Global->Type);
-      bool Db = Opts.EnableDoubleBuffer && B.LoadedMte2 &&
-                Decl->sizeBytes() <= Opts.Machine.UBBytes / 8;
-      K.Buffers.push_back({B.BufName, sim::Buffer::UB, Decl, Db});
+      bool Db = Opts.EnableDoubleBuffer && B.LoadedFromGm &&
+                Decl->sizeBytes() <= StagingBytes / 8;
+      K.Buffers.push_back({B.BufName, Tgt.Staging, Decl, Db});
       if (Db)
         DbBoxes.insert(B.BufName);
       int64_t Bytes = Decl->sizeBytes();
@@ -652,7 +715,7 @@ private:
       }
       if (isMark(S, "cube_unit")) {
         ++UnitCounter;
-        if (!emitCubeUnit(Child, RS, Out))
+        if (!Tgt.CubeUnits || !emitCubeUnit(Child, RS, Out))
           emitVectorUnit(Child, RS, Out);
         return;
       }
@@ -684,6 +747,9 @@ private:
 
   // -- vector / scalar units ----------------------------------------------
 
+  /// A unit whose every leaf loop vectorizes runs on the V pipe (CCE) or
+  /// thread-parallel across the block (SIMT); any other unit runs on the
+  /// scalar unit (one thread).
   void emitVectorUnit(const Stmt &U, RegionCtx &RS,
                       std::vector<InstrPtr> &Out) {
     if (!U)
@@ -718,7 +784,7 @@ private:
         L->WriteBufs = {B.BufName};
         B.SizedInstrs.push_back(L.get());
         B.Loaded = true;
-        B.LoadedMte2 = true;
+        B.LoadedFromGm = true;
         Out.push_back(std::move(L));
       }
       PushName(RB, B.BufName);
@@ -736,9 +802,11 @@ private:
 
     bool Any = false;
     bool Vec = Opts.EnableVectorize && leavesVectorizable(U, Any) && Any;
+    int64_t Elems = pointsIn(U);
+    if (Vec)
+      MaxUnitElems = std::max(MaxUnitElems, Elems);
     InstrPtr C = makeCompute(Vec ? InstrKind::VectorOp : InstrKind::ScalarOp,
-                             Vec ? sim::Pipe::V : sim::Pipe::S, U,
-                             pointsIn(U),
+                             Vec ? sim::Pipe::V : sim::Pipe::S, U, Elems,
                              "unit" + std::to_string(UnitCounter));
     C->Fp32 = AnyF32;
     C->ReadBufs = std::move(RB);
@@ -1102,14 +1170,18 @@ private:
 
 } // namespace
 
-Kernel lowerToCce(const Stmt &Ast, const Module &M, const PolyProgram &P,
-                  const CodegenOptions &Opts, const std::string &Name) {
-  Lowering L(M, P, Opts);
+Kernel lowerAst(sim::TargetKind Target, const Stmt &Ast, const Module &M,
+                const PolyProgram &P, const CodegenOptions &Opts,
+                const std::string &Name) {
+  Lowering L(Target == sim::TargetKind::Simt ? SimtLowering : CceLowering, M,
+             P, Opts);
   Kernel K = L.run(Ast, Name);
   // Unconditional counters for the compile trace's per-pass deltas.
-  Stats::get().add("cce.lowered_kernels");
+  std::string Prefix = sim::targetName(Target);
+  Stats::get().add(Prefix + ".lowered_kernels");
   if (!K.Buffers.empty())
-    Stats::get().add("cce.buffers", static_cast<int64_t>(K.Buffers.size()));
+    Stats::get().add(Prefix + ".buffers",
+                     static_cast<int64_t>(K.Buffers.size()));
   return K;
 }
 

@@ -219,6 +219,84 @@ private:
   }
 };
 
+//===----------------------------------------------------------------------===//
+// SIMT block barriers
+//===----------------------------------------------------------------------===//
+
+struct BarrierState {
+  std::set<std::string> SharedBufs;
+  unsigned Inserted = 0;
+
+  bool isShared(const std::string &N) const { return SharedBufs.count(N); }
+
+  /// Rewrites \p L, inserting a barrier before any instruction whose
+  /// shared reads conflict with writes since the last barrier (RAW) or
+  /// whose shared writes conflict with prior reads/writes (WAR/WAW).
+  /// \p Serial places a barrier after every instruction instead.
+  void rewrite(std::vector<InstrPtr> &L, bool Serial) {
+    std::set<std::string> WrittenSince, ReadSince;
+    std::vector<InstrPtr> Out;
+    auto Flush = [&]() {
+      Out.push_back(makeBarrier());
+      ++Inserted;
+      WrittenSince.clear();
+      ReadSince.clear();
+    };
+    for (InstrPtr &I : L) {
+      if (I->Kind == InstrKind::Loop) {
+        // Conservative: synchronize around loops that touch shared
+        // memory so loop-carried reuse of a staging buffer is ordered
+        // across iterations.
+        bool Touches = touchesShared(I->Body);
+        if (Touches && (!WrittenSince.empty() || !ReadSince.empty()))
+          Flush();
+        rewrite(I->Body, Serial);
+        if (Touches && !I->Body.empty() &&
+            I->Body.back()->Kind != InstrKind::Barrier) {
+          I->Body.push_back(makeBarrier());
+          ++Inserted;
+        }
+        Out.push_back(std::move(I));
+        continue;
+      }
+      bool Conflict = false;
+      for (const std::string &R : I->ReadBufs)
+        if (isShared(R) && WrittenSince.count(R))
+          Conflict = true;
+      for (const std::string &W : I->WriteBufs)
+        if (isShared(W) && (WrittenSince.count(W) || ReadSince.count(W)))
+          Conflict = true;
+      if (Conflict)
+        Flush();
+      for (const std::string &R : I->ReadBufs)
+        if (isShared(R))
+          ReadSince.insert(R);
+      for (const std::string &W : I->WriteBufs)
+        if (isShared(W))
+          WrittenSince.insert(W);
+      bool IsWork = I->Kind != InstrKind::Barrier;
+      Out.push_back(std::move(I));
+      if (Serial && IsWork)
+        Flush();
+    }
+    L = std::move(Out);
+  }
+
+  bool touchesShared(const std::vector<InstrPtr> &L) const {
+    for (const InstrPtr &I : L) {
+      for (const std::string &R : I->ReadBufs)
+        if (isShared(R))
+          return true;
+      for (const std::string &W : I->WriteBufs)
+        if (isShared(W))
+          return true;
+      if (I->Kind == InstrKind::Loop && touchesShared(I->Body))
+        return true;
+    }
+    return false;
+  }
+};
+
 } // namespace
 
 SyncReport insertSynchronization(Kernel &K, SyncStrategy Strategy) {
@@ -230,6 +308,19 @@ SyncReport insertSynchronization(Kernel &K, SyncStrategy Strategy) {
   if (S.Report.BarriersInserted)
     Stats::get().add("sync.barriers", S.Report.BarriersInserted);
   return S.Report;
+}
+
+SyncReport insertSimtBarriers(Kernel &K, SyncStrategy Strategy) {
+  BarrierState B;
+  for (const BufferAlloc &A : K.Buffers)
+    if (A.Location == sim::Buffer::Shared)
+      B.SharedBufs.insert(A.Name);
+  B.rewrite(K.Body, Strategy == SyncStrategy::FullSerial);
+  SyncReport R;
+  R.BarriersInserted = B.Inserted;
+  if (B.Inserted)
+    Stats::get().add("simt.barriers", static_cast<int64_t>(B.Inserted));
+  return R;
 }
 
 } // namespace cce

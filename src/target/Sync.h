@@ -4,7 +4,9 @@
 // pipelines respect data dependences (paper Sec 7). The AkgDp strategy
 // groups dependences per pipe pair and keeps only the non-dominated edges
 // (the DP formulation of the paper); loop-carried edges in double-buffered
-// loops wait at depth 2, which is exactly ping-pong buffering.
+// loops wait at depth 2, which is exactly ping-pong buffering. SIMT kernels
+// have no flags: block-wide __syncthreads barriers order their
+// shared-memory producers and consumers instead.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +31,13 @@ struct SyncReport {
 
 /// Rewrites \p K in place, inserting synchronization instructions.
 SyncReport insertSynchronization(Kernel &K, SyncStrategy Strategy);
+
+/// Inserts block-wide __syncthreads barriers into SIMT kernel \p K so
+/// shared-memory writers complete before readers start (RAW) and readers
+/// finish before the buffer is overwritten (WAR/WAW). FullSerial places a
+/// barrier after every instruction; the other strategies insert the
+/// minimal conflict cover.
+SyncReport insertSimtBarriers(Kernel &K, SyncStrategy Strategy);
 
 } // namespace cce
 } // namespace akg

@@ -2,8 +2,6 @@
 
 #include "target/TargetBackend.h"
 
-#include "target/SimtLower.h"
-
 namespace akg {
 
 namespace {
@@ -12,12 +10,6 @@ class CceBackend final : public TargetBackend {
 public:
   sim::TargetKind kind() const override { return sim::TargetKind::Cce; }
   const char *lowerPassName() const override { return "lower_cce"; }
-
-  cce::Kernel lower(const ir::Stmt &Ast, const ir::Module &M,
-                    const ir::PolyProgram &P, const cce::CodegenOptions &Opts,
-                    const std::string &Name) const override {
-    return cce::lowerToCce(Ast, M, P, Opts, Name);
-  }
 
   std::string checkStorage(const cce::Kernel &K,
                            const cce::CodegenOptions &Opts) const override {
@@ -40,12 +32,6 @@ public:
   sim::TargetKind kind() const override { return sim::TargetKind::Simt; }
   const char *lowerPassName() const override { return "lower_simt"; }
 
-  cce::Kernel lower(const ir::Stmt &Ast, const ir::Module &M,
-                    const ir::PolyProgram &, const cce::CodegenOptions &Opts,
-                    const std::string &Name) const override {
-    return simt::lowerToSimt(Ast, M, Opts, Name);
-  }
-
   std::string checkStorage(const cce::Kernel &K,
                            const cce::CodegenOptions &Opts) const override {
     return cce::checkSimtCapacities(K, Opts.Simt);
@@ -53,7 +39,7 @@ public:
 
   cce::SyncReport insertSync(cce::Kernel &K,
                              cce::SyncStrategy S) const override {
-    return simt::insertSimtBarriers(K, S);
+    return cce::insertSimtBarriers(K, S);
   }
 
   cce::Kernel scalarFallback(const ir::Module &M,

@@ -10,10 +10,9 @@
 //
 // Backends are stateless singletons (all configuration travels in
 // cce::CodegenOptions), so the pass pipeline can hold one pointer per
-// compile and stay safe for concurrent compiles. The CCE backend
-// preserves the pre-abstraction behavior bit for bit; the SIMT backend
-// (target/SimtLower.h) lowers the same ASTs to a grid-of-thread-blocks
-// machine.
+// compile and stay safe for concurrent compiles. Both backends lower
+// through the one driver of target/Codegen.h; the SIMT backend targets a
+// grid-of-thread-blocks machine.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,10 +36,11 @@ public:
 
   /// Lowers the scheduled AST to this target's kernel. Never fails
   /// structurally (units the target cannot express degrade in place).
-  virtual cce::Kernel lower(const ir::Stmt &Ast, const ir::Module &M,
-                            const ir::PolyProgram &P,
-                            const cce::CodegenOptions &Opts,
-                            const std::string &Name) const = 0;
+  cce::Kernel lower(const ir::Stmt &Ast, const ir::Module &M,
+                    const ir::PolyProgram &P, const cce::CodegenOptions &Opts,
+                    const std::string &Name) const {
+    return cce::lowerAst(kind(), Ast, M, P, Opts, Name);
+  }
 
   /// Liveness-aware capacity check against this target's on-chip
   /// memories; "" when everything fits. A non-empty diagnostic drives the

@@ -427,6 +427,58 @@ TEST(CompileService, DegradePolicyServesTheScalarRung) {
   EXPECT_EQ(S.Shed, 0);
 }
 
+TEST(CompileService, FabricatedKernelsFollowTheRequestTarget) {
+  // Chaos faults and shed-degrade answer without running the pipeline;
+  // the fallback kernel they carry, and their trace, must still be for the
+  // requested target.
+  auto M = graph::makeMatmul(32, 32, 32);
+  AkgOptions O;
+  O.Target = sim::TargetKind::Simt;
+  auto ExpectSimt = [](const CompileResult &R) {
+    std::string Text = cce::printKernel(R.Kernel);
+    EXPECT_EQ(Text.rfind("__simt__", 0), 0u) << Text;
+    EXPECT_EQ(cce::checkSimtCapacities(R.Kernel, sim::SimtSpec::sm80()), "");
+    EXPECT_EQ(R.Trace.Target, "simt");
+  };
+  {
+    ChaosSpec AllFault;
+    AllFault.FaultP = 1.0;
+    AllFault.TransientP = 0.0;
+    CompileService::Options SO;
+    SO.Threads = 1;
+    SO.Cache = nullptr;
+    SO.Chaos = AllFault;
+    CompileService Svc(SO);
+    CompileResult R = Svc.submit(*M, O, "simt_fault").get();
+    EXPECT_EQ(R.Outcome.code(), ErrCode::FaultInjected);
+    ExpectSimt(R);
+  }
+  ChaosSpec Delay;
+  Delay.DelayP = 1.0;
+  Delay.DelayMs = 80;
+  KernelCache Cache;
+  CompileService::Options SO;
+  SO.Threads = 2;
+  SO.QueueDepth = 1;
+  SO.Shed = ShedPolicy::Degrade;
+  SO.Cache = &Cache;
+  SO.Chaos = Delay;
+  CompileService Svc(SO);
+  std::vector<std::future<CompileResult>> Futs;
+  for (int I = 0; I < 12; ++I)
+    Futs.push_back(Svc.submit(*M, O, "simt_d" + std::to_string(I)));
+  size_t Degraded = 0;
+  for (auto &F : Futs) {
+    CompileResult R = F.get();
+    EXPECT_TRUE(R.Outcome.isOk());
+    if (R.Trace.find("shed")) {
+      ++Degraded;
+      ExpectSimt(R);
+    }
+  }
+  EXPECT_GE(Degraded, 1u);
+}
+
 TEST(CompileService, TransientFaultsRetryThenReportUnavailable) {
   auto M = graph::makeMatmul(32, 32, 32);
   ChaosSpec AllTransient; // every attempt faults transiently

@@ -15,6 +15,7 @@
 #include "ir/SymbolicShape.h"
 #include "scheduler/ShapeDep.h"
 #include "sim/DynRun.h"
+#include "sim/SimtRun.h"
 #include "support/Env.h"
 
 #include <gtest/gtest.h>
@@ -466,4 +467,27 @@ TEST(DynShapeBind, ConcurrentBindsAreDeterministic) {
     T.join();
   for (unsigned I = 0; I < 4; ++I)
     EXPECT_EQ(SeqBits[I], ParBits[I]) << "extent " << Extents[I];
+}
+
+TEST(DynShapeBind, SimtBucketRunsOnTheSimtModel) {
+  // A bucketed kernel compiled for SIMT must bind and run on the SIMT
+  // simulator: same outputs as the reference, and simulateSimt's cycles
+  // rather than the CCE model's.
+  KernelCache C(64);
+  AkgOptions O;
+  O.Target = sim::TargetKind::Simt;
+  auto M = makeDynEltwise(40);
+  CompileResult R = C.compileOrGet(*M, O, "simt_elt");
+  ASSERT_TRUE(R.Outcome.isOk());
+  ASSERT_NE(R.DynShape, nullptr);
+  ASSERT_EQ(R.Kernel.Target, sim::TargetKind::Simt);
+  sim::SimResult Run;
+  sim::FunctionalDiff D =
+      sim::diffBoundAgainstReference(R, *M, O.Codegen.Machine, 1, &Run);
+  EXPECT_TRUE(D.within(kTol)) << D.str();
+  sim::SimOptions Timing;
+  Timing.Functional = false;
+  sim::SimtResult Want =
+      sim::simulateSimt(R.Kernel, sim::SimtSpec::sm80(), nullptr, Timing);
+  EXPECT_EQ(Run.Cycles, Want.Cycles);
 }

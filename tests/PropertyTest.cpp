@@ -28,6 +28,14 @@ struct ShapeCase {
   std::vector<int64_t> Shape;
 };
 
+// Case names must not depend on the run: gtest's default byte dump of a
+// case shows heap addresses (a vector) or padding bytes, and ctest takes its
+// test names from that dump.
+void PrintTo(const ShapeCase &C, std::ostream *OS) {
+  for (size_t I = 0; I < C.Shape.size(); ++I)
+    *OS << (I ? "x" : "") << C.Shape[I];
+}
+
 class ElementwiseSweep : public ::testing::TestWithParam<ShapeCase> {};
 
 TEST_P(ElementwiseSweep, AkgMatchesReference) {
@@ -175,6 +183,12 @@ struct SchedCase {
   bool Skew, Shift, Bounding;
   sched::FusionStrategy Fusion;
 };
+
+void PrintTo(const SchedCase &C, std::ostream *OS) {
+  static const char *const Fusion[] = {"none", "conservative", "aggressive"};
+  *OS << "skew" << C.Skew << "_shift" << C.Shift << "_bound" << C.Bounding
+      << "_" << Fusion[static_cast<int>(C.Fusion)];
+}
 
 class SchedulerOptionSweep : public ::testing::TestWithParam<SchedCase> {};
 

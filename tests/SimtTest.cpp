@@ -18,7 +18,7 @@
 #include "sim/SimtRun.h"
 #include "support/Env.h"
 #include "target/CceIr.h"
-#include "target/SimtLower.h"
+#include "target/Sync.h"
 #include "target/TargetBackend.h"
 
 #include <gtest/gtest.h>

@@ -1,24 +1,19 @@
 #!/usr/bin/env python3
 """Compare freshly generated BENCH_*.json files against committed baselines.
 
-Usage: bench_diff.py <baseline_dir> <current_dir> [--max-regression PCT]
-                     [--wall-tolerance X]
+Usage: bench_diff.py <baseline_dir> <current_dir> [--wall-tolerance X]
 
 Structural checks are hard failures (exit 1): a baseline figure whose fresh
 counterpart is missing, a record (op) that disappeared, or a tracked cycle
-metric that vanished from a record. Performance checks compare every
-"*_cycles" metric: a regression beyond --max-regression percent (default
-25) fails. "compile_wall_seconds" (records and totals) gates too, but with
-the much looser --wall-tolerance multiplier (default 1.5x) since CI
-machines are noisy; other wall-clock metrics ("*_seconds", "*_rate") are
-reported but never gate.
-
-The simulated cycle counts are deterministic for a given compiler, so the
-default threshold only exists to absorb intentional schedule changes; a PR
-that regresses cycles on purpose should refresh bench/baselines/ in the
-same commit and say so. The wall gate exists so a compile-time optimization
-cannot silently rot: refresh the baselines whenever compile time moves on
-purpose (in either direction).
+metric that vanished from a record. Every "*_cycles" metric gates exactly:
+the simulated cycle counts are deterministic for a given compiler, so any
+change, up or down, fails. A change that moves cycles on purpose refreshes
+bench/baselines/ in the same commit and says so. "compile_wall_seconds"
+(totals) gates too, but with the much looser --wall-tolerance multiplier
+(default 1.5x) since CI machines are noisy; other wall-clock metrics
+("*_seconds", "*_rate") are reported but never gate. The wall gate exists
+so a compile-time optimization cannot silently rot: refresh the baselines
+whenever compile time moves on purpose (in either direction).
 
 Latency percentiles (totals keys containing "_p50", "_p99", or "_p999",
 in seconds or milliseconds) are reported as deltas but never gate: they
@@ -68,8 +63,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline_dir")
     ap.add_argument("current_dir")
-    ap.add_argument("--max-regression", type=float, default=25.0,
-                    help="max allowed cycle regression in percent")
     ap.add_argument("--wall-tolerance", type=float, default=1.5,
                     help="max allowed compile_wall_seconds as a multiple "
                          "of baseline (noise allowance)")
@@ -126,18 +119,12 @@ def main():
                 if not isinstance(cval, (int, float)):
                     failures.append(f"{name}: {op}.{key} vanished")
                     continue
-                if bval <= 0:
-                    continue
-                delta = 100.0 * (cval - bval) / bval
-                marker = ""
-                if delta > args.max_regression:
+                if cval != bval:
                     failures.append(
-                        f"{name}: {op}.{key} regressed {delta:+.1f}% "
-                        f"({bval:.0f} -> {cval:.0f})")
-                    marker = "  <-- FAIL"
-                if abs(delta) >= 1.0 or marker:
-                    print(f"{name} {op}.{key}: {bval:.0f} -> {cval:.0f} "
-                          f"({delta:+.1f}%){marker}")
+                        f"{name}: {op}.{key} changed {bval:.0f} -> "
+                        f"{cval:.0f}")
+                    print(f"{name} {op}.{key}: {bval:.0f} -> {cval:.0f}"
+                          f"  <-- FAIL")
             if WALL_KEY in brec:
                 check_wall(name, op, brec[WALL_KEY], crec.get(WALL_KEY),
                            gate=False)
@@ -219,8 +206,7 @@ def main():
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
-    print(f"bench_diff: {len(baselines)} figure(s) within "
-          f"{args.max_regression:.0f}% of baseline "
+    print(f"bench_diff: {len(baselines)} figure(s) match baseline cycles "
           f"(wall tolerance {args.wall_tolerance:.2f}x)")
     return 0
 
