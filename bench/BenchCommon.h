@@ -11,7 +11,7 @@
 #define AKG_BENCH_BENCHCOMMON_H
 
 #include "akg/AutoTuner.h"
-#include "akg/Compiler.h"
+#include "akg/Environment.h"
 #include "baselines/CceLibrary.h"
 #include "baselines/TvmCompiler.h"
 #include "sim/Simulator.h"

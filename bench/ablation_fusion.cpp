@@ -63,6 +63,7 @@ ModulePtr stencilChain(int64_t N) {
 } // namespace
 
 int main() {
+  readEnvironment().installDiagnostics();
   printHeader("Ablation: post-tiling fusion (reverse strategy) on/off");
   ModulePtr Cases[] = {convChain(512, 512), stencilChain(768),
                        makeSubgraph3(4), makeSubgraph5(1)};

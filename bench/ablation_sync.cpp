@@ -15,6 +15,7 @@ using namespace akg::bench;
 using namespace akg::graph;
 
 int main() {
+  readEnvironment().installDiagnostics();
   printHeader("Ablation: DAE synchronization strategies on AKG kernels");
   ModulePtr Cases[] = {makeMatmul(1024, 1024, 1024), makeSubgraph1(2),
                        makeTensorAdd({16, 256, 28, 28})};

@@ -14,6 +14,7 @@ using namespace akg::bench;
 using namespace akg::graph;
 
 int main() {
+  readEnvironment().installDiagnostics();
   printHeader("Ablation: Auto Tiling (Sec 4.2) vs the learning-based "
               "auto-tuner (Sec 5.3)");
   ModulePtr Cases[] = {makeMatmul(768, 768, 768),

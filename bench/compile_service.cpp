@@ -22,10 +22,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "akg/CompileService.h"
-#include "akg/KernelCache.h"
+#include "akg/Environment.h"
 #include "graph/Networks.h"
-#include "support/Env.h"
 #include "target/CceIr.h"
 
 #include <algorithm>
@@ -56,29 +54,28 @@ double percentile(std::vector<double> Sorted, double P) {
 /// asserted bit-identical against a chaos-free reference run. The JSON
 /// goes to BENCH_compile_service_chaos.json so the chaos-free baseline
 /// keys in BENCH_compile_service.json never vanish under bench_diff.
-int runChaosMode(std::vector<CompileJob> &Jobs, unsigned Threads) {
-  int64_t Cap = env::getInt("AKG_BENCH_REQUESTS", 0);
+int runChaosMode(std::vector<CompileJob> &Jobs, unsigned Threads,
+                 const Environment &Env) {
+  int64_t Cap = envInt(processEnv, "AKG_BENCH_REQUESTS", 0);
   if (Cap > 0 && Jobs.size() > static_cast<size_t>(Cap))
     Jobs.resize(static_cast<size_t>(Cap));
-  std::optional<ChaosSpec> Spec = ChaosSpec::fromEnv();
   std::printf("chaos mode: %zu requests, %u workers, spec %s\n\n",
               Jobs.size(), Threads,
-              env::get("AKG_CHAOS").value_or("?").c_str());
+              processEnv("AKG_CHAOS").value_or("?").c_str());
 
   // Chaos-free reference: the same stream through a plain parallel run
   // with its own cold cache.
-  KernelCache RefCache;
+  KernelCache RefCache(Env.Cache);
   CompileServiceOptions RO;
   RO.Threads = Threads;
   RO.Cache = &RefCache;
   std::vector<CompileResult> Ref = compileModulesParallel(Jobs, RO);
 
   // The chaos run.
-  KernelCache Cache;
-  CompileService::Options SO;
+  KernelCache Cache(Env.Cache);
+  CompileService::Options SO = Env.Service;
   SO.Threads = Threads;
   SO.Cache = &Cache;
-  SO.Chaos = Spec;
   CompileService Svc(SO);
   std::vector<CompileResult> Res;
   double WallSecs = wallSeconds([&] { Res = Svc.compileAll(Jobs); });
@@ -169,13 +166,15 @@ int runChaosMode(std::vector<CompileJob> &Jobs, unsigned Threads) {
 } // namespace
 
 int main() {
+  const Environment Env = readEnvironment();
+  Env.installDiagnostics();
   printHeader("Compile service: Fig 13 suite, one request per subgraph "
               "instance (sequential vs parallel+cache vs warm cache)");
 
   NetworkModel Nets[6] = {buildResNet50(), buildMobileNetV2(),
                           buildAlexNet(), buildBert(21128),
                           buildBert(30522), buildSsd()};
-  AkgOptions Base;
+  AkgOptions Base = Env.Compile;
   std::vector<CompileJob> Jobs;
   size_t DistinctLayers = 0;
   for (const NetworkModel &N : Nets) {
@@ -185,14 +184,13 @@ int main() {
     Jobs.insert(Jobs.end(), J.begin(), J.end());
   }
   // AKG_THREADS when set, else the 4-worker configuration under test.
-  unsigned Threads =
-      env::isSet("AKG_THREADS") ? compileServiceThreads(0) : 4;
+  unsigned Threads = processEnv("AKG_THREADS") ? Env.Service.Threads : 4;
 
   // AKG_CHAOS switches the bench into the chaos-replay mode entirely:
   // the chaos-free three-phase baseline below stays untouched so its
   // BENCH json keys remain comparable across runs.
-  if (ChaosSpec::fromEnv())
-    return runChaosMode(Jobs, Threads);
+  if (Env.Service.Chaos)
+    return runChaosMode(Jobs, Threads, Env);
 
   std::printf("%zu compile requests (%zu distinct subgraphs), "
               "%u worker threads\n\n",
@@ -208,7 +206,7 @@ int main() {
   std::printf("sequential (no cache):   %8.2fs\n", SeqSeconds);
 
   // Compile service, cold cache.
-  KernelCache Cache;
+  KernelCache Cache(Env.Cache);
   CompileServiceOptions SO;
   SO.Threads = Threads;
   SO.Cache = &Cache;

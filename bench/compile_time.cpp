@@ -10,10 +10,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "akg/KernelCache.h"
-#include "akg/KernelStore.h"
+#include "akg/Environment.h"
 #include "graph/Ops.h"
-#include "support/Env.h"
 #include "support/Stats.h"
 
 #include <map>
@@ -75,6 +73,8 @@ std::vector<OpFamily> buildFamilies() {
 } // namespace
 
 int main() {
+  const Environment Env = readEnvironment();
+  Env.installDiagnostics();
   printHeader("Compile-time microbench: AKG pipeline wall time per family "
               "(polyhedral-core fast paths; lower is better)");
   std::printf("%-16s %14s %14s\n", "operator", "compile [s]", "akg cycles");
@@ -85,10 +85,11 @@ int main() {
   // first run populates the disk store and a second process serves every
   // first request from disk. The committed baseline is always recorded
   // WITHOUT a cache dir, so the gated numbers measure real compiles.
-  const bool Cached = env::get("AKG_CACHE_DIR").has_value();
+  const bool Cached = !Env.Cache.DiskDir.empty();
+  KernelCache Cache(Env.Cache);
   if (Cached)
     std::printf("cache mode: AKG_CACHE_DIR=%s (tiered memory -> disk)\n",
-                env::get("AKG_CACHE_DIR")->c_str());
+                Env.Cache.DiskDir.c_str());
   // One AKG compile of these shapes is a few ms; repeat so the gated wall
   // total sits well above timer/scheduler noise. The wall covers compiles
   // only; the (deterministic) simulation runs outside the timer purely to
@@ -107,10 +108,9 @@ int main() {
     double FamSeconds = wallSeconds([&] {
       for (int R = 0; R < Reps; ++R)
         for (const ModulePtr &M : Fam.Shapes) {
-          CompileResult CR = Cached
-                                 ? compileWithAkgCached(*M, AkgOptions{},
-                                                        Fam.Name)
-                                 : compileWithAkg(*M, AkgOptions{}, Fam.Name);
+          CompileResult CR =
+              Cached ? Cache.compileOrGet(*M, Env.Compile, Fam.Name)
+                     : compileWithAkg(*M, Env.Compile, Fam.Name);
           for (const TraceEvent &E : CR.Trace.Events)
             FamStageWall[E.Pass] += E.WallSeconds;
           if (R == 0)
@@ -158,7 +158,7 @@ int main() {
   if (Cached) {
     // Where the requests were actually served from (the CI cold -> warm
     // job asserts hit_disk > 0 on the second process).
-    KernelCacheStats CS = KernelCache::global().stats();
+    KernelCacheStats CS = Cache.stats();
     J.total("cache.hit_memory", double(CS.Hits));
     J.total("cache.hit_disk", double(CS.DiskHits));
     J.total("cache.hit_coalesced", double(CS.Coalesced));

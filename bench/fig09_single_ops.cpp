@@ -115,6 +115,7 @@ std::vector<OpFamily> buildFamilies() {
 } // namespace
 
 int main() {
+  readEnvironment().installDiagnostics();
   printHeader("Fig 9: single-operator speedup normalized to AKG "
               "(geomean over 10 shapes each, batch 16; higher is better)");
   std::printf("%-16s %10s %10s %10s %10s\n", "operator", "CCE naive",

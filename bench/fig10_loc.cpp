@@ -50,6 +50,7 @@ unsigned tvmTemplateLines(const ir::Module &M,
 } // namespace
 
 int main() {
+  readEnvironment().installDiagnostics();
   printHeader("Fig 10: lines of code per implementation path "
               "(lower is better)");
   struct Case {

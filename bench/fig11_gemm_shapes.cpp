@@ -15,6 +15,7 @@ using namespace akg::bench;
 using namespace akg::graph;
 
 int main() {
+  readEnvironment().installDiagnostics();
   printHeader("Fig 11: GEMM cycles across 41 shapes, AKG vs TVM "
               "(lower is better)");
   std::printf("%-8s %14s %14s %8s\n", "size", "AKG cycles", "TVM cycles",

@@ -16,6 +16,7 @@ using namespace akg::bench;
 using namespace akg::graph;
 
 int main() {
+  readEnvironment().installDiagnostics();
   printHeader("Fig 12: subgraph speedup normalized to AKG "
               "(higher is better)");
   // Scale 2 keeps the larger feature maps tractable on the host simulator

@@ -18,11 +18,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "akg/CompileService.h"
-#include "akg/KernelCache.h"
+#include "akg/Environment.h"
 #include "composite/Composite.h"
 #include "graph/Networks.h"
-#include "support/Env.h"
 #include "support/Stats.h"
 #include "target/Codegen.h"
 
@@ -59,13 +57,14 @@ struct Subgraph {
 } // namespace
 
 int main() {
+  const Environment Env = readEnvironment();
+  Env.installDiagnostics();
   printHeader("Fig 13 serving bench: ResNet-50 + BERT subgraphs as "
               "composite JSON through CompileService::submitJson");
 
   NetworkModel Nets[2] = {buildResNet50(), buildBert(30522)};
-  unsigned Threads =
-      env::isSet("AKG_THREADS") ? compileServiceThreads(0) : 4;
-  AkgOptions Base;
+  unsigned Threads = processEnv("AKG_THREADS") ? Env.Service.Threads : 4;
+  AkgOptions Base = Env.Compile;
 
   // Serialize every distinct subgraph and build the direct-module
   // reference compile it must match bit-for-bit.
@@ -99,14 +98,14 @@ int main() {
   for (const Subgraph &S : Subs)
     for (unsigned I = 0; I < S.Count; ++I)
       Stream.push_back(&S);
-  int64_t Cap = env::getInt("AKG_BENCH_REQUESTS", 0);
+  int64_t Cap = envInt(processEnv, "AKG_BENCH_REQUESTS", 0);
   if (Cap > 0 && Stream.size() > static_cast<size_t>(Cap))
     Stream.resize(static_cast<size_t>(Cap));
   std::printf("%zu requests (%zu distinct subgraphs), %u worker threads\n\n",
               Stream.size(), Subs.size(), Threads);
 
-  KernelCache Cache;
-  CompileService::Options SO;
+  KernelCache Cache(Env.Cache);
+  CompileService::Options SO = Env.Service;
   SO.Threads = Threads;
   SO.Cache = &Cache;
   // The full training-step stream outruns the default admission bound;

@@ -47,6 +47,7 @@ int64_t networkCyclesCceOpt(const NetworkModel &N) {
 } // namespace
 
 int main() {
+  readEnvironment().installDiagnostics();
   printHeader("Fig 13: end-to-end workloads, speedup normalized to AKG "
               "(higher is better; one training step, batch 16)");
   NetworkModel Nets[6] = {buildResNet50(), buildMobileNetV2(),

@@ -4,7 +4,7 @@
 // requests (eltwise / row-reduce / GEMM families, extents 1..1024) through
 // the CompileService three times:
 //
-//   1. baseline  - AKG_DYNSHAPE=0, N threads: per-exact-shape caching,
+//   1. baseline  - bucketing off, N threads: per-exact-shape caching,
 //                  which doubles as the fresh per-shape compile reference
 //                  for the correctness gate;
 //   2. bucketed  - dynamic shapes on, N threads: one skeleton per shape
@@ -26,11 +26,9 @@
 
 #include "BenchCommon.h"
 
-#include "akg/CompileService.h"
-#include "akg/KernelCache.h"
+#include "akg/Environment.h"
 #include "sim/Compare.h"
 #include "sim/DynRun.h"
-#include "support/Env.h"
 
 #include <algorithm>
 #include <cmath>
@@ -199,8 +197,11 @@ struct RunResult {
 
 RunResult replay(const std::vector<Request> &Stream, bool DynShape,
                  unsigned Threads) {
-  env::set("AKG_DYNSHAPE", DynShape ? "1" : "0");
-  KernelCache Cache;
+  // Hermetic: each run gets its own cold in-memory cache with the default
+  // buckets and no disk tier, and the service runs without chaos.
+  KernelCacheConfig CC;
+  CC.DynShape = DynShape;
+  KernelCache Cache(CC);
   RunResult R;
   R.WallSeconds = bench::wallSeconds([&] {
     CompileService::Options SO;
@@ -218,7 +219,6 @@ RunResult replay(const std::vector<Request> &Stream, bool DynShape,
   R.Cache = Cache.stats();
   for (const CompileResult &C : R.Results)
     R.Latencies.push_back(C.ServiceSeconds);
-  env::unset("AKG_DYNSHAPE");
   return R;
 }
 
@@ -240,11 +240,12 @@ bool failGate(const char *What) {
 } // namespace
 
 int main() {
-  uint64_t Seed = uint64_t(env::getInt("AKG_SEED", 42));
-  unsigned Requests = unsigned(env::getInt("AKG_BENCH_REQUESTS", 300));
-  unsigned Threads = unsigned(env::getInt("AKG_BENCH_THREADS", 4));
+  readEnvironment().installDiagnostics();
+  uint64_t Seed = uint64_t(envInt(processEnv, "AKG_SEED", 42));
+  unsigned Requests = unsigned(envInt(processEnv, "AKG_BENCH_REQUESTS", 300));
+  unsigned Threads = unsigned(envInt(processEnv, "AKG_BENCH_THREADS", 4));
   double ZipfS = 0.5;
-  if (auto S = env::get("AKG_ZIPF_S")) {
+  if (auto S = processEnv("AKG_ZIPF_S")) {
     char *End = nullptr;
     double V = std::strtod(S->c_str(), &End);
     if (End && *End == '\0' && V >= 0 && V <= 4)
@@ -255,12 +256,6 @@ int main() {
                  Requests);
     return 1;
   }
-  // Keep the three runs hermetic: no disk cache tier, no chaos, and each
-  // run gets its own cold in-memory KernelCache.
-  env::unset("AKG_CACHE_DIR");
-  env::unset("AKG_CHAOS");
-  env::unset("AKG_SHAPE_BUCKETS");
-
   bench::printHeader("Dynamic-shape serving: Zipf shape stream, bucketed "
                      "reuse vs per-exact-shape caching");
   std::vector<Request> Stream = makeStream(Requests, Seed, ZipfS);
@@ -281,7 +276,7 @@ int main() {
               Requests, FirstOf.size(), ZipfS,
               static_cast<unsigned long long>(Seed), Threads);
 
-  std::printf("run 1/3: baseline (AKG_DYNSHAPE=0, per-exact-shape cache)...\n");
+  std::printf("run 1/3: baseline (bucketing off, per-exact-shape cache)...\n");
   RunResult Base = replay(Stream, /*DynShape=*/false, Threads);
   std::printf("run 2/3: bucketed (%u threads)...\n", Threads);
   RunResult Buck = replay(Stream, /*DynShape=*/true, Threads);

@@ -24,6 +24,7 @@ std::string shapeOf(const ir::Tensor &T) {
 } // namespace
 
 int main() {
+  readEnvironment().installDiagnostics();
   printHeader("Table 1: summary of the subgraphs");
   std::printf("%-4s %-8s %-10s %-11s %-18s %-18s\n", "no.", "# of ops",
               "precision", "batch size", "input shape", "output shape");

@@ -21,8 +21,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "akg/CompileService.h"
-#include "akg/KernelCache.h"
 #include "graph/Ops.h"
 #include "sim/SimtRun.h"
 #include "target/CceIr.h"
@@ -130,14 +128,16 @@ int64_t simtCycles(const cce::Kernel &K, sim::SimtResult *Out = nullptr) {
 } // namespace
 
 int main() {
+  const Environment Env = readEnvironment();
+  Env.installDiagnostics();
   printHeader("Target comparison: Fig 9 op set on the CCE (ascend910) and "
               "SIMT (sm80) backends, one shared kernel cache");
   std::printf("%-16s %12s %12s %8s %8s %9s\n", "operator", "cce cycles",
               "simt cycles", "blocks", "waves", "barriers");
 
   std::vector<OpFamily> Families = buildFamilies();
-  KernelCache Cache;
-  CompileService::Options SO;
+  KernelCache Cache(Env.Cache);
+  CompileService::Options SO = Env.Service;
   SO.Cache = &Cache;
   CompileService Svc(SO);
 

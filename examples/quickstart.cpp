@@ -3,11 +3,13 @@
 // Declares a small fused operator in the tensor-expression DSL, compiles
 // it with the full AKG pipeline, runs the generated CCE kernel on the
 // DaVinci simulator and checks the result against the reference
-// evaluator.
+// evaluator. AKG_* variables are read once, at start (akg/Environment.h):
+// AKG_FAIL_STAGE=storage sends the compile down a fallback rung and
+// AKG_STATS=1 prints the internal counters at exit.
 //
 //===----------------------------------------------------------------------===//
 
-#include "akg/Compiler.h"
+#include "akg/Environment.h"
 #include "sim/Simulator.h"
 
 #include <cstdio>
@@ -16,6 +18,9 @@ using namespace akg;
 using namespace akg::ir;
 
 int main() {
+  const Environment Env = readEnvironment();
+  Env.installDiagnostics();
+
   // out = relu(a * b + c), elementwise over a (64, 96) FP16 tensor.
   Module M;
   Tensor A = M.placeholder("a", {64, 96});
@@ -31,7 +36,7 @@ int main() {
 
   // Compile: scheduling, tiling, fusion, storage management,
   // vectorization and synchronization are all automatic.
-  CompileResult R = compileWithAkg(M, AkgOptions{}, "quickstart");
+  CompileResult R = compileWithAkg(M, Env.Compile, "quickstart");
   std::printf("--- schedule tree ---\n%s\n", R.ScheduleTreeDump.c_str());
   std::printf("--- tile policy (Fig 4 language) ---\n%s\n\n",
               R.TilingPolicyText.c_str());

@@ -2,9 +2,7 @@
 
 #include "akg/AutoTuner.h"
 
-#include "akg/CompileService.h"
 #include "sim/Simulator.h"
-#include "support/Env.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
@@ -88,7 +86,7 @@ TuneResult tuneTiles(const std::vector<std::vector<int64_t>> &Space,
   Rng R(Opts.Seed);
   PerfModel Model;
   std::map<std::vector<unsigned>, int64_t> Seen;
-  unsigned Threads = compileServiceThreads(Opts.MeasureThreads);
+  unsigned Threads = std::max(1u, Opts.MeasureThreads);
 
   auto TilesOf = [&](const std::vector<unsigned> &Idx) {
     std::vector<int64_t> T(W);

@@ -29,11 +29,11 @@ struct TunerOptions {
   double PParam = 0.5;     // the pre-defined parameter feeding p
   uint32_t Seed = 42;
   /// Worker threads for candidate measurement (each round's samples are
-  /// drawn up front, then measured concurrently). 0 resolves AKG_THREADS.
-  /// The tuning result is identical for any thread count: draws depend
-  /// only on the seeded RNG and the previous rounds' measurements, and
-  /// results fold in draw order.
-  unsigned MeasureThreads = 0;
+  /// drawn up front, then measured concurrently); 0 and 1 measure on the
+  /// calling thread. The tuning result is identical for any thread
+  /// count: draws depend only on the seeded RNG and the previous rounds'
+  /// measurements, and results fold in draw order.
+  unsigned MeasureThreads = 1;
 };
 
 struct TuneResult {

@@ -2,11 +2,7 @@
 
 #include "akg/Chaos.h"
 
-#include "support/Env.h"
-
-#include <cstdio>
 #include <cstdlib>
-#include <mutex>
 
 namespace akg {
 
@@ -103,24 +99,6 @@ std::optional<ChaosSpec> ChaosSpec::parse(const std::string &Text,
       return std::nullopt;
     }
   }
-  return S;
-}
-
-std::optional<ChaosSpec> ChaosSpec::fromEnv() {
-  std::optional<std::string> V = env::get("AKG_CHAOS");
-  if (!V || V->empty())
-    return std::nullopt;
-  std::string Err;
-  std::optional<ChaosSpec> S = parse(*V, &Err);
-  if (!S) {
-    static std::once_flag Warned;
-    std::call_once(Warned, [&] {
-      std::fprintf(stderr, "AKG_CHAOS ignored: %s\n", Err.c_str());
-    });
-    return std::nullopt;
-  }
-  if (!S->enabled())
-    return std::nullopt;
   return S;
 }
 

@@ -53,11 +53,6 @@ struct ChaosSpec {
   /// malformed spec. The empty string parses to a disabled spec.
   static std::optional<ChaosSpec> parse(const std::string &Text,
                                         std::string *Err = nullptr);
-
-  /// The AKG_CHAOS environment spec, or nullopt when unset/empty. A
-  /// malformed value is reported once to stderr and treated as unset
-  /// (chaos must never break a production run it was not meant for).
-  static std::optional<ChaosSpec> fromEnv();
 };
 
 /// What the chaos layer decided for one (request, attempt).

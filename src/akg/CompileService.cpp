@@ -3,7 +3,6 @@
 #include "akg/CompileService.h"
 
 #include "composite/Composite.h"
-#include "support/Env.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "target/TargetBackend.h"
@@ -13,22 +12,11 @@
 
 namespace akg {
 
-unsigned compileServiceThreads(unsigned Requested) {
-  if (Requested > 0)
-    return Requested;
-  int64_t N = env::getInt("AKG_THREADS", 1);
-  if (N < 1)
-    N = 1;
-  if (N > 256)
-    N = 256; // sanity bound; compile jobs are coarse
-  return static_cast<unsigned>(N);
-}
-
 std::vector<CompileResult>
 compileModulesParallel(const std::vector<CompileJob> &Jobs,
                        const CompileServiceOptions &Opts) {
   ScopedTimer Timer("service.compile_batch");
-  unsigned Threads = compileServiceThreads(Opts.Threads);
+  unsigned Threads = std::max(1u, Opts.Threads);
   std::vector<CompileResult> Results(Jobs.size());
   KernelCache *Cache = Opts.Cache;
   parallelFor(Threads, Jobs.size(), [&](size_t I) {
@@ -56,7 +44,7 @@ CompileResult serviceResult(const ir::Module &M, const AkgOptions &Opts,
                             const std::string &Name, ErrCode Code,
                             const char *Event, const std::string &Note,
                             bool WithKernel = true) {
-  sim::TargetKind Target = resolveTarget(Opts);
+  sim::TargetKind Target = Opts.Target;
   CompileResult Res;
   Res.Trace.Kernel = Name;
   Res.Trace.Target = sim::targetName(Target);
@@ -87,20 +75,9 @@ CompileService::CompileService() : CompileService(Options()) {}
 
 CompileService::CompileService(Options Opts)
     : Opt(std::move(Opts)), Quar(Opt.QuarantineOpts) {
-  NumThreads = compileServiceThreads(Opt.Threads);
-  Depth = Opt.QueueDepth > 0
-              ? Opt.QueueDepth
-              : static_cast<unsigned>(std::max<int64_t>(
-                    1, env::getInt("AKG_QUEUE_DEPTH", 256)));
-  if (Opt.Shed) {
-    Policy = *Opt.Shed;
-  } else {
-    std::optional<std::string> P = env::get("AKG_SHED_POLICY");
-    Policy = (P && *P == "degrade") ? ShedPolicy::Degrade
-                                    : ShedPolicy::Reject;
-  }
-  Chaos = Opt.Chaos ? Opt.Chaos : ChaosSpec::fromEnv();
-  Pool = std::make_unique<ThreadPool>(NumThreads);
+  Opt.Threads = std::max(1u, Opt.Threads);
+  Opt.QueueDepth = std::max(1u, Opt.QueueDepth);
+  Pool = std::make_unique<ThreadPool>(Opt.Threads);
 }
 
 CompileService::~CompileService() { Pool->shutdown(/*Drain=*/true); }
@@ -165,9 +142,9 @@ CompileService::submitJson(const std::string &JsonText,
     P.set_value(std::move(R));
     return P.get_future();
   }
-  // A payload-level "target" overrides the caller's option default (but
-  // not AKG_TARGET, which resolveTarget applies last, mirroring
-  // AKG_FAIL_STAGE). The name was validated at parse time.
+  // A payload-level "target" overrides the caller's options, which carry
+  // any AKG_TARGET the tool read at start. The name was validated at
+  // parse time.
   if (!F.Normalized.Target.empty()) {
     AkgOptions O = Opts;
     sim::parseTargetName(F.Normalized.Target, O.Target);
@@ -219,16 +196,16 @@ CompileService::submitShared(std::shared_ptr<const ir::Module> M,
   // job inside Pool->submit, so Queued drops before the next admission
   // and nothing ever sheds - matching the sequential pipeline exactly.
   if (Queued.load(std::memory_order_acquire) >=
-      static_cast<int64_t>(Depth)) {
+      static_cast<int64_t>(Opt.QueueDepth)) {
     std::promise<CompileResult> P;
-    if (Policy == ShedPolicy::Reject) {
+    std::string Full =
+        "queue full (depth " + std::to_string(Opt.QueueDepth) + "); policy ";
+    if (Opt.Shed == ShedPolicy::Reject) {
       ++NShed;
       if (Stats::enabled())
         Stats::get().add("service.shed");
       P.set_value(serviceResult(*M, Opts, Name, ErrCode::Overloaded, "shed",
-                                "queue full (depth " + std::to_string(Depth) +
-                                    "); policy reject",
-                                /*WithKernel=*/false));
+                                Full + "reject", /*WithKernel=*/false));
     } else {
       // Degrade: the caller still gets a valid kernel - the bottom rung
       // of the PR 1 ladder, compiled inline without touching the queue.
@@ -236,19 +213,16 @@ CompileService::submitShared(std::shared_ptr<const ir::Module> M,
       if (Stats::enabled())
         Stats::get().add("service.degraded");
       P.set_value(serviceResult(*M, Opts, Name, ErrCode::Ok, "shed",
-                                "queue full (depth " + std::to_string(Depth) +
-                                    "); policy degrade: scalar rung"));
+                                Full + "degrade: scalar rung"));
     }
     return P.get_future();
   }
 
   // Deadline inheritance: the request's own deadline wins, else the
-  // service default, else AKG_DEADLINE_MS. Armed here - at admission -
-  // so time spent queued counts against it.
+  // service default. Armed here - at admission - so time spent queued
+  // counts against it.
   double Ms = Opts.RequestDeadlineMs > 0 ? Opts.RequestDeadlineMs
-              : Opt.DefaultDeadlineMs > 0
-                  ? Opt.DefaultDeadlineMs
-                  : static_cast<double>(env::getInt("AKG_DEADLINE_MS", 0));
+                                         : Opt.DefaultDeadlineMs;
   auto Ctx = std::make_shared<cancel::Context>();
   Ctx->DL = Deadline(Ms / 1000.0);
   Ctx->Token = Opts.Cancel.get();
@@ -290,8 +264,8 @@ CompileResult CompileService::runOne(const ir::Module &M, AkgOptions Opts,
     }
 
     for (unsigned Attempt = 0;; ++Attempt) {
-      if (Chaos) {
-        ChaosAction A = chaosDecide(*Chaos, Name, Attempt);
+      if (Opt.Chaos) {
+        ChaosAction A = chaosDecide(*Opt.Chaos, Name, Attempt);
         switch (A.K) {
         case ChaosAction::Kind::Hang:
           ++NHangs;

@@ -9,10 +9,10 @@
 // networks, or across repeated requests - compile exactly once.
 //
 // Threading contract (see DESIGN.md 4d): the compile pipeline itself is
-// pure (no shared mutable state beyond the mutex-guarded Stats/Env/cache
-// singletons), each job's Module is read-only during the run, and results
-// land in job order. Output is bit-identical for 1 worker, N workers, or
-// a warm cache.
+// pure (no shared mutable state beyond the mutex-guarded Stats/cache
+// singletons, and it never reads the environment), each job's Module is
+// read-only during the run, and results land in job order. Output is
+// bit-identical for 1 worker, N workers, or a warm cache.
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,17 +43,12 @@ struct CompileJob {
 };
 
 struct CompileServiceOptions {
-  /// Worker threads; 0 resolves AKG_THREADS (unset/invalid -> 1, i.e.
-  /// the sequential pipeline).
-  unsigned Threads = 0;
+  /// Worker threads; 0 and 1 run every job on the calling thread.
+  unsigned Threads = 1;
   /// Content-addressed cache consulted per job; nullptr compiles every
   /// job from scratch (the pre-cache behavior).
   KernelCache *Cache = &KernelCache::global();
 };
-
-/// The effective worker count: \p Requested when nonzero, else the
-/// AKG_THREADS environment variable, else 1.
-unsigned compileServiceThreads(unsigned Requested = 0);
 
 /// Compiles all jobs, fanning across workers, and returns results in job
 /// order. Identical kernels come out whether this runs on 1 thread, N
@@ -100,27 +95,29 @@ struct ServiceStats {
 /// unbounded fan-out for callers that want none of this.
 class CompileService {
 public:
+  /// Built-in defaults; akg/Environment.h fills Threads, QueueDepth,
+  /// Shed and Chaos from AKG_THREADS, AKG_QUEUE_DEPTH, AKG_SHED_POLICY
+  /// and AKG_CHAOS.
   struct Options {
-    /// Worker threads; 0 resolves AKG_THREADS (unset -> 1 = inline).
-    unsigned Threads = 0;
-    /// Admission bound: jobs admitted but not yet running. 0 resolves
-    /// AKG_QUEUE_DEPTH (default 256). Inline mode never queues.
-    unsigned QueueDepth = 0;
-    /// Load-shedding policy; unset resolves AKG_SHED_POLICY
-    /// ("reject" / "degrade", default reject).
-    std::optional<ShedPolicy> Shed;
+    /// Worker threads; 0 and 1 run every request inline on the caller.
+    unsigned Threads = 1;
+    /// Admission bound: jobs admitted but not yet running (0 acts as 1).
+    /// Inline mode never queues.
+    unsigned QueueDepth = 256;
+    /// Load-shedding policy at a full queue.
+    ShedPolicy Shed = ShedPolicy::Reject;
     /// Retries for transient faults (Outcome = Unavailable), with
     /// exponential backoff starting at RetryBackoffMs.
     unsigned MaxRetries = 2;
     double RetryBackoffMs = 1.0;
     /// Deadline for requests that do not carry their own
-    /// AkgOptions::RequestDeadlineMs; 0 resolves AKG_DEADLINE_MS. The
-    /// clock starts at admission, so queue wait counts against it.
+    /// AkgOptions::RequestDeadlineMs; 0 = none. The clock starts at
+    /// admission, so queue wait counts against it.
     double DefaultDeadlineMs = 0;
     /// Content-addressed cache; nullptr compiles every job from scratch.
     KernelCache *Cache = &KernelCache::global();
     QuarantineOptions QuarantineOpts;
-    /// Chaos spec; unset resolves AKG_CHAOS (unset/invalid -> no chaos).
+    /// Chaos spec; unset = no chaos.
     std::optional<ChaosSpec> Chaos;
   };
 
@@ -172,9 +169,9 @@ public:
 
   ServiceStats stats() const;
   Quarantine &quarantine() { return Quar; }
-  unsigned threads() const { return NumThreads; }
-  unsigned queueDepth() const { return Depth; }
-  ShedPolicy shedPolicy() const { return Policy; }
+  unsigned threads() const { return Opt.Threads; }
+  unsigned queueDepth() const { return Opt.QueueDepth; }
+  ShedPolicy shedPolicy() const { return Opt.Shed; }
 
 private:
   /// Common admission path. \p M may own the module (submitJson) or be a
@@ -187,11 +184,7 @@ private:
                        const std::string &Name,
                        std::shared_ptr<cancel::Context> Ctx);
 
-  Options Opt;
-  unsigned NumThreads = 1;
-  unsigned Depth = 256;
-  ShedPolicy Policy = ShedPolicy::Reject;
-  std::optional<ChaosSpec> Chaos;
+  Options Opt; // Threads and QueueDepth normalized to at least 1
   Quarantine Quar;
   std::unique_ptr<ThreadPool> Pool;
   std::atomic<int64_t> Queued{0}; // admitted, not yet running

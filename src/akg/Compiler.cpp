@@ -7,7 +7,6 @@
 #include "sim/SimtRun.h"
 #include "sim/Simulator.h"
 #include "target/TargetBackend.h"
-#include "support/Env.h"
 #include "support/Rational.h"
 #include "support/Stats.h"
 
@@ -15,38 +14,17 @@ namespace akg {
 
 using namespace ir;
 
-Stage resolveFailStage(const AkgOptions &Opts) {
-  Stage Fail = Opts.FailStage;
-  if (std::optional<std::string> Env = env::get("AKG_FAIL_STAGE")) {
-    Stage S = parseStage(*Env);
-    if (S != Stage::None)
-      Fail = S;
-  }
-  return Fail;
-}
-
-sim::TargetKind resolveTarget(const AkgOptions &Opts) {
-  sim::TargetKind T = Opts.Target;
-  if (std::optional<std::string> Env = env::get("AKG_TARGET")) {
-    sim::TargetKind E;
-    if (sim::parseTargetName(*Env, E))
-      T = E;
-  }
-  return T;
-}
-
 CompileResult compileWithAkg(const Module &MIn, const AkgOptions &Opts,
                              const std::string &Name) {
   ScopedTimer Timer("akg.compile");
   Stats::get().add("akg.compiles");
-  Stage Fail = resolveFailStage(Opts);
   Stage Where = Stage::None;
   std::string Reason;
   try {
     // The real pipeline (akg/Pipeline.cpp). Recoverable failures degrade
     // in place and are recorded in Res.Degradation; anything that still
     // escapes is caught below and lands on the scalar fallback kernel.
-    CompileResult Res = runPassPipeline(MIn, Opts, Name, Fail);
+    CompileResult Res = runPassPipeline(MIn, Opts, Name);
     trace::maybeDump(Res.Trace);
     return Res;
   } catch (const RationalOverflow &E) {
@@ -61,7 +39,7 @@ CompileResult compileWithAkg(const Module &MIn, const AkgOptions &Opts,
   }
   CompileResult Res;
   Res.Degradation.record(Where, Reason, "scalar fallback kernel");
-  sim::TargetKind Target = resolveTarget(Opts);
+  sim::TargetKind Target = Opts.Target;
   const TargetBackend &TB = targetBackend(Target);
   Res.Kernel = TB.scalarFallback(MIn, Name);
   Res.Sync = TB.insertSync(Res.Kernel, cce::SyncStrategy::FullSerial);

@@ -15,6 +15,7 @@
 #define AKG_AKG_COMPILER_H
 
 #include "ir/Dsl.h"
+#include "schedule/AstGen.h"
 #include "scheduler/Pluto.h"
 #include "support/Cancel.h"
 #include "support/Diag.h"
@@ -32,8 +33,7 @@ namespace akg {
 struct AkgOptions {
   /// Which simulated machine to compile for (sim/Target.h). The whole
   /// polyhedral frontend is shared; lowering, storage checks, sync and
-  /// simulation dispatch through target/TargetBackend.h. The AKG_TARGET
-  /// environment variable (cce|simt) overrides this when it parses.
+  /// simulation dispatch through target/TargetBackend.h.
   sim::TargetKind Target = sim::TargetKind::Cce;
   sched::SchedulerOptions Scheduler;
   cce::CodegenOptions Codegen;
@@ -47,16 +47,17 @@ struct AkgOptions {
   unsigned MaxTileRetries = 24;
   /// Wall-clock + solver budgets; exhaustion degrades, never aborts.
   CompileBudget Budget;
+  /// AST generation (the AST memo switch).
+  sched::AstGenOptions AstGen;
   /// Fault injection: force this stage's preferred path to fail so the
-  /// degradation ladder runs. The AKG_FAIL_STAGE environment variable
-  /// (stage name, see support/Diag.h) overrides this when set.
+  /// degradation ladder runs.
   Stage FailStage = Stage::None;
-  /// Hard wall-clock deadline for this request, in milliseconds. Unlike
-  /// Budget.DeadlineSeconds (a soft budget stages degrade under), hitting
-  /// this deadline unwinds the compile with Outcome = DeadlineExceeded.
-  /// Zero consults the AKG_DEADLINE_MS environment variable (0 = none).
-  /// Excluded from the cache fingerprint: failed results never enter the
-  /// cache, so the deadline cannot change what a cached kernel looks like.
+  /// Hard wall-clock deadline for this request, in milliseconds (0 =
+  /// none). Unlike Budget.DeadlineSeconds (a soft budget stages degrade
+  /// under), hitting this deadline unwinds the compile with Outcome =
+  /// DeadlineExceeded. Excluded from the cache fingerprint: failed
+  /// results never enter the cache, so the deadline cannot change what a
+  /// cached kernel looks like.
   double RequestDeadlineMs = 0;
   /// Cooperative cancellation: the requester may flip this token from any
   /// thread; the pipeline notices at the next checkpoint and unwinds with
@@ -119,18 +120,6 @@ struct CompileResult {
 /// Compiles one fused operator with the full AKG pipeline.
 CompileResult compileWithAkg(const ir::Module &M, const AkgOptions &Opts,
                              const std::string &Name);
-
-/// The fault-injection stage in effect for a compile with these options:
-/// the AKG_FAIL_STAGE environment override when it names a stage, else
-/// Opts.FailStage. Shared by the driver and the kernel cache (the cache
-/// key must reflect the stage that would actually fail).
-Stage resolveFailStage(const AkgOptions &Opts);
-
-/// The target a compile with these options lowers for: the AKG_TARGET
-/// environment override when it names a known target, else Opts.Target.
-/// Shared by the driver and the kernel cache (the key must reflect the
-/// backend that would actually run), mirroring resolveFailStage.
-sim::TargetKind resolveTarget(const AkgOptions &Opts);
 
 /// Convenience: compile + simulate functionally + compare against the
 /// reference evaluator; returns the max abs error over all outputs.

@@ -5,7 +5,6 @@
 #include "ir/ModuleUtils.h"
 #include "ir/SymbolicShape.h"
 #include "scheduler/ShapeDep.h"
-#include "support/Env.h"
 #include "support/Stats.h"
 
 #include <algorithm>
@@ -13,12 +12,6 @@
 
 namespace akg {
 namespace dynshape {
-
-bool eligible(const ir::Module &M) {
-  if (env::getInt("AKG_DYNSHAPE", 1) == 0)
-    return false;
-  return ir::hasDynamicDims(M);
-}
 
 Plan plan(const ir::Module &M, const BucketScheme &Scheme) {
   Plan P;

@@ -11,7 +11,7 @@
 // structural analysis (ir/SymbolicShape.h), the parametric dependence
 // probe (scheduler/ShapeDep.h) and a bounds safety net must all pass,
 // otherwise the request falls back to today's per-shape compile.
-// AKG_DYNSHAPE=0 disables the whole path.
+// KernelCacheConfig::DynShape (AKG_DYNSHAPE=0) disables the whole path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -40,10 +40,6 @@ struct Plan {
   /// Late-binding metadata handed to sim::runBound on every hit.
   std::shared_ptr<const ShapeBinding> Binding;
 };
-
-/// True when the dynamic-shape path may run at all: the kill switch
-/// AKG_DYNSHAPE is not "0" and \p M carries dynamic marks.
-bool eligible(const ir::Module &M);
 
 /// Full admission pipeline for \p M under \p Scheme. Never throws; every
 /// rejection is a Plan with Usable=false and a reason.

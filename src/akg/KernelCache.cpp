@@ -232,20 +232,17 @@ uint64_t fingerprintOptions(const AkgOptions &O) {
   mix(H, O.MaxTileRetries);
   mix(H, bitsOf(O.Budget.DeadlineSeconds));
   mix(H, static_cast<uint64_t>(O.Budget.IlpNodeBudget));
-  // The stage that will actually fail, with the environment override
-  // applied: two compiles with the same options but different
-  // AKG_FAIL_STAGE must not share a cache line.
-  mix(H, static_cast<uint64_t>(resolveFailStage(O)));
-  // The target that will actually lower, with the AKG_TARGET override
-  // applied: cce and simt kernels must never alias, and any SIMT
-  // machine-model change invalidates simt entries (mirroring how
-  // fingerprintMachine covers the CCE spec above).
-  mix(H, static_cast<uint64_t>(resolveTarget(O)));
+  mix(H, static_cast<uint64_t>(O.FailStage));
+  // cce and simt kernels must never alias, and any SIMT machine-model
+  // change invalidates simt entries (mirroring how fingerprintMachine
+  // covers the CCE spec above).
+  mix(H, static_cast<uint64_t>(O.Target));
   mix(H, fingerprintSimt(O.Codegen.Simt));
-  // Deliberately NOT mixed: RequestDeadlineMs and Cancel. They change
-  // only whether a compile finishes, never what kernel a finished compile
-  // emits - and results with a non-ok Outcome are never inserted - so
-  // requests differing only in deadline/token must share a cache line.
+  // Deliberately NOT mixed: RequestDeadlineMs, Cancel and AstGen.UseMemo.
+  // They change only whether or how fast a compile finishes, never what
+  // kernel a finished compile emits - and results with a non-ok Outcome
+  // are never inserted - so requests differing only in them must share a
+  // cache line.
   return H;
 }
 
@@ -272,7 +269,16 @@ CacheKey makeBucketedCacheKey(const Module &Skeleton, const AkgOptions &O,
 // KernelCache
 //===----------------------------------------------------------------------===//
 
-KernelCache::KernelCache(size_t MaxEntries) : MaxEntries(MaxEntries) {}
+KernelCache::KernelCache() : KernelCache(KernelCacheConfig()) {}
+
+KernelCache::KernelCache(KernelCacheConfig C)
+    : Cfg(std::move(C)),
+      Disk(Cfg.DiskDir.empty()
+               ? nullptr
+               : std::make_unique<DiskKernelStore>(Cfg.DiskDir,
+                                                   Cfg.DiskMaxBytes)) {}
+
+KernelCache::~KernelCache() = default;
 
 std::shared_ptr<const CompileResult>
 KernelCache::lookupLocked(const CacheKey &K) {
@@ -294,7 +300,7 @@ void KernelCache::insertLocked(const CacheKey &K,
   }
   Lru.push_front(Entry{K, std::move(R)});
   Map[K] = Lru.begin();
-  while (Map.size() > MaxEntries) {
+  while (Map.size() > Cfg.MaxEntries) {
     Map.erase(Lru.back().Key);
     Lru.pop_back();
     ++Counts.Evictions;
@@ -340,10 +346,10 @@ CompileResult KernelCache::compileOrGet(const Module &M,
   // admission failure - or a failed skeleton compile - drops to the
   // plain per-shape path below, so bucketing can only add reuse, never
   // change what a request is allowed to compute.
-  if (dynshape::eligible(M)) {
+  if (Cfg.DynShape && ir::hasDynamicDims(M)) {
     if (Stats::enabled())
       Stats::get().add("dynshape.request");
-    dynshape::Plan P = dynshape::plan(M, BucketScheme::fromEnv());
+    dynshape::Plan P = dynshape::plan(M, Cfg.Buckets);
     if (P.Usable) {
       CacheKey BK = makeBucketedCacheKey(*P.Skeleton, Opts, P.BucketKey);
       CompileResult R = compileOrGetKeyed(BK, *P.Skeleton, Opts, Name, Fn);
@@ -441,8 +447,8 @@ CompileResult KernelCache::compileOrGetKeyed(const CacheKey &K,
     // disk load exactly like they share one compile.
     std::shared_ptr<const CompileResult> R;
     bool FromDisk = false;
-    if (DiskKernelStore *DS = DiskKernelStore::global())
-      if (auto D = DS->load(K)) {
+    if (Disk)
+      if (auto D = Disk->load(K)) {
         R = std::move(D);
         FromDisk = true;
       }
@@ -495,10 +501,9 @@ CompileResult KernelCache::compileOrGetKeyed(const CacheKey &K,
     if (FromDisk)
       return serveCached(*R, Name, "cache_hit", "on-disk kernel store");
     // Persist fresh successful compiles so a restarted service (or a
-    // second process sharing AKG_CACHE_DIR) skips this compile forever.
-    if (R->Outcome.isOk())
-      if (DiskKernelStore *DS = DiskKernelStore::global())
-        DS->store(K, *R);
+    // second process sharing the directory) skips this compile forever.
+    if (Disk && R->Outcome.isOk())
+      Disk->store(K, *R);
     return *R;
   }
 }
@@ -523,11 +528,6 @@ void KernelCache::clear() {
 KernelCache &KernelCache::global() {
   static KernelCache C;
   return C;
-}
-
-CompileResult compileWithAkgCached(const Module &M, const AkgOptions &Opts,
-                                   const std::string &Name) {
-  return KernelCache::global().compileOrGet(M, Opts, Name);
 }
 
 } // namespace akg

@@ -5,7 +5,7 @@
 // structural fingerprint of the prepared ir::Module (tensors and
 // iteration variables alpha-renamed to their positions) combined with a
 // fingerprint of every compilation knob that can change the emitted
-// kernel (AkgOptions, including the machine model and the resolved
+// kernel (AkgOptions, including the machine model, the target and the
 // fault-injection stage). Two structurally identical subgraphs produced
 // by different networks - or the same subgraph requested hundreds of
 // times per training step by the graph engine - therefore compile once.
@@ -16,11 +16,12 @@
 // results are immutable by contract; a hit returns a copy whose
 // instruction list is shared with the cached entry.
 //
-// When AKG_CACHE_DIR is set, the cache is tiered: memory -> on-disk
-// content-addressed store (akg/KernelStore.h) -> compile. A memory miss
-// consults the disk store before compiling (inside the single-flight
-// leader, so coalesced waiters share one disk load too), and successful
-// compiles are persisted for future processes.
+// When KernelCacheConfig::DiskDir is set (AKG_CACHE_DIR), the cache is
+// tiered: memory -> on-disk content-addressed store (akg/KernelStore.h,
+// owned by this cache) -> compile. A memory miss consults the disk store
+// before compiling (inside the single-flight leader, so coalesced waiters
+// share one disk load too), and successful compiles are persisted for
+// future processes.
 //
 // Hit/miss/eviction counters are surfaced through Stats
 // ("kernel_cache.*", printed under AKG_STATS=1) and through stats().
@@ -33,6 +34,7 @@
 #define AKG_AKG_KERNELCACHE_H
 
 #include "akg/Compiler.h"
+#include "akg/ShapeBuckets.h"
 
 #include <condition_variable>
 #include <cstdint>
@@ -54,9 +56,10 @@ uint64_t fingerprintModule(const ir::Module &M);
 uint64_t fingerprintMachine(const sim::MachineSpec &S);
 
 /// Fingerprint of every option that can change the emitted kernel:
-/// scheduler knobs, codegen knobs + machine model, sync strategy, manual
-/// tiles, budgets, and the fault-injection stage as resolved against the
-/// AKG_FAIL_STAGE environment override.
+/// scheduler knobs, codegen knobs + machine models, sync strategy, manual
+/// tiles, budgets, the fault-injection stage and the target.
+/// RequestDeadlineMs, Cancel and AstGen.UseMemo are left out: they never
+/// change the kernel a finished compile emits.
 uint64_t fingerprintOptions(const AkgOptions &O);
 
 /// Fingerprint of the module's tensor names (inputs + op outputs in
@@ -84,7 +87,7 @@ CacheKey makeCacheKey(const ir::Module &M, const AkgOptions &O);
 /// content address of the skeleton module salted with \p BucketKey (the
 /// bucket-scheme bounds + per-symbol bucket ids from dynshape::plan), so
 /// bucketed entries never alias plain concrete compiles at the same
-/// shapes or entries produced under a different AKG_SHAPE_BUCKETS.
+/// shapes or entries produced under different bucket bounds.
 CacheKey makeBucketedCacheKey(const ir::Module &Skeleton,
                               const AkgOptions &O,
                               const std::string &BucketKey);
@@ -122,11 +125,29 @@ struct KernelCacheStats {
   }
 };
 
+class DiskKernelStore;
+
+/// How a KernelCache is built. The defaults are a memory-only cache with
+/// dynamic-shape bucketing on; akg/Environment.h fills the rest from
+/// AKG_CACHE_DIR, AKG_CACHE_MAX_BYTES, AKG_DYNSHAPE and AKG_SHAPE_BUCKETS.
+struct KernelCacheConfig {
+  /// In-memory LRU capacity.
+  size_t MaxEntries = 1024;
+  /// Directory of the on-disk tier; empty = no disk tier.
+  std::string DiskDir;
+  /// Size cap of the disk tier in bytes; 0 = unbounded.
+  int64_t DiskMaxBytes = 0;
+  /// Serve modules with shape-symbol marks through bucket skeletons
+  /// (DESIGN.md 4k); off compiles every shape separately.
+  bool DynShape = true;
+  BucketScheme Buckets;
+};
+
 class KernelCache {
 public:
-  static constexpr size_t kDefaultMaxEntries = 1024;
-
-  explicit KernelCache(size_t MaxEntries = kDefaultMaxEntries);
+  KernelCache();
+  explicit KernelCache(KernelCacheConfig Cfg);
+  ~KernelCache();
 
   KernelCache(const KernelCache &) = delete;
   KernelCache &operator=(const KernelCache &) = delete;
@@ -150,7 +171,7 @@ public:
   /// trips while coalesced throws CancelledError.
   ///
   /// Dynamic shapes (DESIGN.md 4k): when \p M carries shape-symbol marks
-  /// and AKG_DYNSHAPE is not 0, the request is canonicalized to its
+  /// and the config enables DynShape, the request is canonicalized to its
   /// bucket skeleton and served under the bucketed key; the returned
   /// result then carries a ShapeBinding (DynShape) for late-bound
   /// execution. Every admission failure falls back to the plain
@@ -169,11 +190,11 @@ public:
 
   KernelCacheStats stats() const;
   size_t size() const;
-  size_t capacity() const { return MaxEntries; }
+  size_t capacity() const { return Cfg.MaxEntries; }
   void clear();
 
-  /// The process-wide cache used by compileWithAkgCached and the
-  /// compile service by default.
+  /// The process-wide default-config cache the compile service uses
+  /// unless its options name another.
   static KernelCache &global();
 
 private:
@@ -202,18 +223,14 @@ private:
                                   const std::string &Name,
                                   const CompileFn &Fn);
 
-  size_t MaxEntries;
+  const KernelCacheConfig Cfg;
+  const std::unique_ptr<DiskKernelStore> Disk;
   mutable std::mutex Lock;
   std::list<Entry> Lru; // front = most recently used
   std::unordered_map<CacheKey, std::list<Entry>::iterator, KeyHash> Map;
   std::unordered_map<CacheKey, std::shared_ptr<InFlight>, KeyHash> Pending;
   KernelCacheStats Counts;
 };
-
-/// compileWithAkg through the global content-addressed cache.
-CompileResult compileWithAkgCached(const ir::Module &M,
-                                   const AkgOptions &Opts,
-                                   const std::string &Name);
 
 } // namespace akg
 

@@ -2,7 +2,6 @@
 
 #include "akg/KernelStore.h"
 
-#include "support/Env.h"
 #include "support/Serialize.h"
 #include "support/Stats.h"
 
@@ -867,33 +866,6 @@ void DiskKernelStore::evictOverCap() {
 KernelStoreStats DiskKernelStore::stats() const {
   std::lock_guard<std::mutex> G(Lock);
   return Counts;
-}
-
-DiskKernelStore *DiskKernelStore::global() {
-  // Stores are keyed by their (dir, cap) configuration and never
-  // destroyed: tests repoint AKG_CACHE_DIR at fresh directories, and a
-  // result loaded through an old store may still be referenced.
-  static std::mutex M;
-  static auto *Stores =
-      new std::unordered_map<std::string, DiskKernelStore *>();
-  std::optional<std::string> Dir = env::get("AKG_CACHE_DIR");
-  if (!Dir || Dir->empty())
-    return nullptr;
-  int64_t Max = 0;
-  if (std::optional<std::string> Cap = env::get("AKG_CACHE_MAX_BYTES")) {
-    char *End = nullptr;
-    long long V = strtoll(Cap->c_str(), &End, 10);
-    if (End && *End == '\0' && V > 0)
-      Max = V;
-  }
-  std::string CfgKey = *Dir + "\x1f" + std::to_string(Max);
-  std::lock_guard<std::mutex> G(M);
-  auto It = Stores->find(CfgKey);
-  if (It != Stores->end())
-    return It->second;
-  auto *S = new DiskKernelStore(*Dir, Max);
-  (*Stores)[CfgKey] = S;
-  return S;
 }
 
 } // namespace akg

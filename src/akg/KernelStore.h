@@ -1,7 +1,8 @@
 //===- akg/KernelStore.h - On-disk content-addressed kernel store -*- C++ -*-//
 //
 // The persistence tier under akg/KernelCache (DESIGN.md 4i): compiled
-// kernels serialized to an AKG_CACHE_DIR directory, keyed by the same
+// kernels serialized to a directory (KernelCacheConfig::DiskDir, from
+// AKG_CACHE_DIR; the cache owns its store), keyed by the same
 // content address the in-memory cache uses (structural module x
 // options/machine x tensor-name binding). A service restart - or a
 // second process sharing the directory - serves its first request for a
@@ -22,7 +23,7 @@
 //     times for LRU eviction. The index is strictly advisory: entry
 //     files are the source of truth, concurrent updates may tear, and a
 //     header mismatch rebuilds it from a directory scan;
-//   * AKG_CACHE_MAX_BYTES caps the store; eviction drops
+//   * a size cap (AKG_CACHE_MAX_BYTES) bounds the store; eviction drops
 //     least-recently-used entries (index access time when known, file
 //     mtime otherwise) until under the cap.
 //
@@ -92,11 +93,6 @@ public:
   int64_t sizeBytes() const;
   const std::string &dir() const { return Dir; }
   KernelStoreStats stats() const;
-
-  /// The process-wide store configured by AKG_CACHE_DIR /
-  /// AKG_CACHE_MAX_BYTES; null when AKG_CACHE_DIR is unset. Re-reads the
-  /// environment when it changes (tests point it at fresh directories).
-  static DiskKernelStore *global();
 
   /// Entry file name for a key: "<module>-<options>-<binding>.akgk".
   static std::string entryFileName(const CacheKey &K);

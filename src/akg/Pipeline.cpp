@@ -4,7 +4,6 @@
 
 #include "ir/Passes.h"
 #include "schedule/AstGen.h"
-#include "support/Env.h"
 #include "support/Stats.h"
 #include "target/TargetBackend.h"
 #include "transforms/Conv.h"
@@ -295,7 +294,9 @@ void runIntraTile(CompileState &S) {
   S.Res.ScheduleTreeDump = S.Tree.str();
 }
 
-void runAstGen(CompileState &S) { S.Ast = generateAst(S.Tree, S.Poly); }
+void runAstGen(CompileState &S) {
+  S.Ast = generateAst(S.Tree, S.Poly, S.Opts->AstGen);
+}
 
 void runLower(CompileState &S) {
   S.Kernel = S.Backend->lower(S.Ast, *S.M, S.Poly, S.CG, S.Name);
@@ -501,14 +502,14 @@ void FusionRejectionController::run(CompileState &S, const Pipeline &PL) const {
 //===----------------------------------------------------------------------===//
 
 CompileResult runPassPipeline(const Module &M, const AkgOptions &Opts,
-                              const std::string &Name, Stage Fail) {
+                              const std::string &Name) {
   auto T0 = std::chrono::steady_clock::now();
   CompileState S;
   S.Input = &M;
   S.Opts = &Opts;
   S.Name = Name;
-  S.Fail = Fail;
-  S.Target = resolveTarget(Opts);
+  S.Fail = Opts.FailStage;
+  S.Target = Opts.Target;
   S.Backend = &targetBackend(S.Target);
   S.Res.Trace.Kernel = Name;
   S.Res.Trace.Target = sim::targetName(S.Target);
@@ -533,11 +534,8 @@ CompileResult runPassPipeline(const Module &M, const AkgOptions &Opts,
   // tripping either constraint unwinds the compile via CancelledError.
   // The scope chains to any context already active on this thread (a
   // service worker's request context), so the tightest constraint wins.
-  double HardMs = Opts.RequestDeadlineMs > 0
-                      ? Opts.RequestDeadlineMs
-                      : static_cast<double>(env::getInt("AKG_DEADLINE_MS", 0));
   cancel::Context Ctx;
-  Ctx.DL = Deadline(HardMs / 1000.0);
+  Ctx.DL = Deadline(Opts.RequestDeadlineMs / 1000.0);
   Ctx.Token = Opts.Cancel.get();
   cancel::Scope RequestScope(&Ctx);
 

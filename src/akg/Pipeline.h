@@ -59,8 +59,8 @@ struct CompileState {
   const ir::Module *Input = nullptr;
   const AkgOptions *Opts = nullptr;
   std::string Name;
-  Stage Fail = Stage::None; // resolved fault-injection stage
-  /// Resolved compile target (resolveTarget) and its backend; every
+  Stage Fail = Stage::None; // fault-injection stage (Opts->FailStage)
+  /// Compile target (Opts->Target) and its backend; every
   /// hardware-specific pass body dispatches through Backend.
   sim::TargetKind Target = sim::TargetKind::Cce;
   const TargetBackend *Backend = nullptr;
@@ -195,7 +195,7 @@ public:
 /// bottom rung when nothing compiled. The returned result carries the
 /// complete CompileTrace.
 CompileResult runPassPipeline(const ir::Module &M, const AkgOptions &Opts,
-                              const std::string &Name, Stage Fail);
+                              const std::string &Name);
 
 } // namespace akg
 

@@ -2,8 +2,6 @@
 
 #include "akg/ShapeBuckets.h"
 
-#include "support/Env.h"
-
 #include <sstream>
 
 namespace akg {
@@ -12,12 +10,9 @@ BucketScheme::BucketScheme() : Bounds{16, 64, 256, 1024, 4096} {}
 
 BucketScheme::BucketScheme(std::vector<int64_t> B) : Bounds(std::move(B)) {}
 
-BucketScheme BucketScheme::fromEnv() {
-  std::optional<std::string> Raw = env::get("AKG_SHAPE_BUCKETS");
-  if (!Raw || Raw->empty())
-    return BucketScheme();
+std::optional<BucketScheme> BucketScheme::parse(const std::string &Text) {
   std::vector<int64_t> Bounds;
-  std::istringstream IS(*Raw);
+  std::istringstream IS(Text);
   std::string Tok;
   while (std::getline(IS, Tok, ',')) {
     try {
@@ -25,14 +20,14 @@ BucketScheme BucketScheme::fromEnv() {
       int64_t V = std::stoll(Tok, &Pos);
       if (Pos != Tok.size() || V < 1 ||
           (!Bounds.empty() && V <= Bounds.back()))
-        return BucketScheme(); // malformed: fall back to defaults
+        return std::nullopt;
       Bounds.push_back(V);
     } catch (...) {
-      return BucketScheme();
+      return std::nullopt;
     }
   }
   if (Bounds.empty())
-    return BucketScheme();
+    return std::nullopt;
   return BucketScheme(std::move(Bounds));
 }
 

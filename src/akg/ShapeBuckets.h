@@ -5,10 +5,10 @@
 // (64,256], (256,1024], (1024,4096]; each bucket's REPRESENTATIVE is its
 // upper bound, the extent the skeleton kernel is compiled at. Requests
 // whose extent exceeds the last bound fall back to per-shape compilation.
-// AKG_SHAPE_BUCKETS overrides the bounds ("16,64,256" etc. -- strictly
-// increasing positive integers); the bucket id that enters the cache key
-// is the bound itself, so differently-configured processes never alias
-// cache entries.
+// KernelCacheConfig::Buckets (AKG_SHAPE_BUCKETS, "16,64,256" etc. --
+// strictly increasing positive integers) overrides the bounds; the bucket
+// id that enters the cache key is the bound itself, so differently
+// configured caches never alias entries.
 //
 //===----------------------------------------------------------------------===//
 
@@ -39,9 +39,9 @@ public:
   BucketScheme();
   explicit BucketScheme(std::vector<int64_t> Bounds);
 
-  /// Scheme from AKG_SHAPE_BUCKETS (comma-separated strictly increasing
-  /// positive bounds); the default scheme when unset or malformed.
-  static BucketScheme fromEnv();
+  /// Scheme from comma-separated strictly increasing positive bounds
+  /// ("16,64,256"); nullopt when \p Text is empty or malformed.
+  static std::optional<BucketScheme> parse(const std::string &Text);
 
   const std::vector<int64_t> &bounds() const { return Bounds; }
 

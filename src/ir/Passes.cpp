@@ -414,9 +414,12 @@ Module inlineElementwiseOps(const Module &M) {
 
   for (const auto &Op : M.ops()) {
     Expr Body = Rewrite(Op->Body);
+    // Size by structurally distinct subtrees (cseExpr shares equal ones),
+    // not by pointers: a module and its JSON round trip share a cache
+    // fingerprint but not node sharing, and must inline alike.
     bool CanInline = !Op->isReduction() && !IsOut(Op->Output) &&
                      Uses[Op->Output.get()] == 1 &&
-                     exprDagSize(Body) <= 24;
+                     exprDagSize(cseExpr(Body)) <= 24;
     if (CanInline) {
       Inlined[Op->Output.get()] = {Op->Axis, Body};
       continue;

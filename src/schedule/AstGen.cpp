@@ -10,8 +10,9 @@
 //     for the impliedByEmitted separation checks. Keys serialize the
 //     full numeric content (constraints, divs, dimension split, emitted
 //     set), so a hit replays a pure function of the key and the emitted
-//     AST is bit-identical with the memo on or off (AKG_ASTGEN_MEMO=0
-//     disables it for differential testing);
+//     AST is bit-identical with the memo on or off
+//     (AstGenOptions::UseMemo, AKG_ASTGEN_MEMO=0, turns it off for
+//     differential testing);
 //   * syntactic implication shortcuts (trivial constants, per-constraint
 //     dominance by an emitted bound) that fire only when a member point
 //     of the emitted set is known, which makes their verdict provably
@@ -32,7 +33,6 @@
 #include "ir/Passes.h"
 #include "support/Arena.h"
 #include "support/Cancel.h"
-#include "support/Env.h"
 #include "support/Matrix.h"
 #include "support/Stats.h"
 
@@ -125,11 +125,6 @@ struct AstGenMemo {
     // Leaked: outlives every static-destructor-ordered consumer.
     static AstGenMemo *M = new AstGenMemo();
     return *M;
-  }
-
-  static bool enabled() {
-    std::optional<std::string> V = env::get("AKG_ASTGEN_MEMO");
-    return !V || *V != "0";
   }
 
   template <class MapT, class ValT>
@@ -480,7 +475,7 @@ private:
       std::vector<BoundExpr> Lower, Upper;
     };
     std::string EmittedKey =
-        AstGenMemo::enabled() ? serializeEmitted(Emitted) : std::string();
+        Opts.UseMemo ? serializeEmitted(Emitted) : std::string();
     std::vector<StmtBounds> AllBounds;
     std::vector<ActiveStmt> Kept;
     for (ActiveStmt &A : Active) {
@@ -598,8 +593,8 @@ private:
     Expr Extent = ir::simplifyExpr(
         ir::add(ir::sub(Ub, Lb), cInt(1)));
     Stmt Loop = ir::makeFor(VarName, Lb, Extent, std::move(Body));
-    if (Opts.AnnotateVectorLoops && Row < Band->Coincident.size() &&
-        Band->Coincident[Row])
+    // Mark coincident loops as vectorizable for the code generator.
+    if (Row < Band->Coincident.size() && Band->Coincident[Row])
       return ir::makeAttr("coincident", VarName, std::move(Loop));
     return Loop;
   }
@@ -615,8 +610,7 @@ private:
                 return A->Id < B->Id;
               });
     EmittedCtx EC{Emitted,
-                  AstGenMemo::enabled() ? serializeEmitted(Emitted)
-                                        : std::string(),
+                  Opts.UseMemo ? serializeEmitted(Emitted) : std::string(),
                   originSatisfies(Emitted)};
     std::vector<Stmt> Out;
     for (const ActiveStmt *A : Ordered) {

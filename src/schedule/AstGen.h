@@ -22,9 +22,11 @@ namespace akg {
 namespace sched {
 
 struct AstGenOptions {
-  /// Label the innermost coincident loop of each statement as vectorizable
-  /// (an attribute the CCE code generator consumes).
-  bool AnnotateVectorLoops = true;
+  /// Consult and fill the process-wide AST-generation memo (reduced
+  /// projections and implication checks, AstGen.cpp). It changes only
+  /// whether LPs re-run, never the AST, so it is not part of the kernel
+  /// cache key. AKG_ASTGEN_MEMO=0 turns it off.
+  bool UseMemo = true;
 };
 
 /// Generates the AST for the whole tree. The paper's mark tag "skipped"

@@ -3,7 +3,6 @@
 #include "scheduler/Dependence.h"
 
 #include "support/Cancel.h"
-#include "support/Env.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -102,11 +101,6 @@ std::vector<Dependence> computeDependences(const ir::PolyProgram &P,
     for (unsigned B = A; B < Stmts.size(); ++B)
       Pairs.emplace_back(A, B);
 
-  if (Threads == 0) {
-    int64_t N = env::getInt("AKG_THREADS", 1);
-    Threads = static_cast<unsigned>(std::min<int64_t>(std::max<int64_t>(N, 1),
-                                                      256));
-  }
   if (Pairs.size() < 2)
     Threads = 1; // not worth spinning up workers
 

@@ -44,12 +44,12 @@ struct Dependence {
 /// Computes all pairwise dependences of the program.
 ///
 /// Statement pairs are analysed independently, fanned out over a thread
-/// pool (\p Threads workers; 0 resolves the AKG_THREADS environment
-/// variable, unset meaning sequential). The result is deterministic and
-/// identical at any thread count: per-pair results are collected into
+/// pool of \p Threads workers (1, the default and what the compile
+/// pipeline uses, runs on the calling thread). The result is deterministic
+/// and identical at any thread count: per-pair results are collected into
 /// pair-indexed slots and concatenated in the sequential pair order.
 std::vector<Dependence> computeDependences(const ir::PolyProgram &P,
-                                           unsigned Threads = 0);
+                                           unsigned Threads = 1);
 
 /// Minimum / maximum of (dst iterator \p OutDim - src iterator \p InDim)
 /// over the dependence relation; nullopt when unbounded.

@@ -13,9 +13,9 @@
 //     transaction segment, and __syncthreads-style block barriers in
 //     place of flag pairs.
 //
-// The target is selected per compile via AkgOptions::Target, overridden
-// by AKG_TARGET=cce|simt (akg/Compiler.h resolveTarget), and is part of
-// the kernel-cache fingerprint so the two backends never alias.
+// The target is selected per compile via AkgOptions::Target (a tool's
+// default comes from AKG_TARGET=cce|simt, akg/Environment.h), and is part
+// of the kernel-cache fingerprint so the two backends never alias.
 //
 //===----------------------------------------------------------------------===//
 

@@ -1,9 +1,10 @@
 //===- support/Stats.h - Lightweight internal statistics --------*- C++ -*-===//
 //
 // Counters and accumulated timers for compiler-internal diagnostics,
-// printed when AKG_STATS=1 is set in the environment. Used to keep the
-// ILP-heavy scheduling paths honest about where compile time goes (the
-// paper discusses compilation-time budgets in Sec 8).
+// printed at exit when enabled (AKG_STATS, installed by the tool's main
+// through setEnabled, akg/Environment.h). Used to keep the ILP-heavy
+// scheduling paths honest about where compile time goes (the paper
+// discusses compilation-time budgets in Sec 8).
 //
 // The singleton is shared by every compile in the process, including the
 // concurrent compiles of the compile service, so all mutation happens
@@ -15,9 +16,8 @@
 #ifndef AKG_SUPPORT_STATS_H
 #define AKG_SUPPORT_STATS_H
 
-#include "support/Env.h"
-
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -34,7 +34,7 @@ namespace akg {
 class Stats {
 public:
   static Stats &get() {
-    // Intentionally leaked: the constructor registers an atexit printer,
+    // Intentionally leaked: setEnabled registers an atexit printer,
     // which would otherwise run after this object's own static
     // destructor (atexit handlers run in reverse registration order) and
     // iterate destructed maps.
@@ -109,16 +109,25 @@ public:
       std::fprintf(stderr, "%-40s %10.3fs\n", K.c_str(), V);
   }
 
-  static bool enabled() {
-    static bool E = env::isSet("AKG_STATS");
-    return E;
+  static bool enabled() { return Enabled.load(); }
+
+  /// Turns the diagnostics on or off. The first enable registers the
+  /// at-exit printer, which prints if they are still on at exit.
+  static void setEnabled(bool On) {
+    static std::once_flag Printer;
+    if (On)
+      std::call_once(Printer, [] {
+        std::atexit([] {
+          if (enabled())
+            get().print();
+        });
+      });
+    Enabled.store(On);
   }
 
 private:
-  Stats() {
-    if (enabled())
-      std::atexit([] { Stats::get().print(); });
-  }
+  Stats() = default;
+  static inline std::atomic<bool> Enabled{false};
   mutable std::mutex Lock;
   std::map<std::string, int64_t> Counters;
   std::map<std::string, double> Timers;

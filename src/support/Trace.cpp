@@ -2,9 +2,9 @@
 
 #include "support/Trace.h"
 
-#include "support/Env.h"
 #include "support/Stats.h"
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <mutex>
@@ -131,30 +131,43 @@ std::string CompileTrace::str() const {
 
 namespace trace {
 
-bool snapshotsEnabled() { return env::isSet("AKG_TRACE_SNAPSHOTS"); }
-
 namespace {
 // One mutex for every diagnostic sink - trace dumps and debugEcho lines -
-// so chaos-run logs interleave as whole lines, never torn ones.
+// so chaos-run logs interleave as whole lines, never torn ones. It also
+// guards the destination path.
 std::mutex &dumpLock() {
   static std::mutex M;
   return M;
 }
+std::string &destination() {
+  static std::string D;
+  return D;
+}
+std::atomic<bool> SnapshotsOn{false};
 } // namespace
 
-void maybeDump(const CompileTrace &T) {
-  std::optional<std::string> Dest = env::get("AKG_TRACE");
-  if (!Dest || Dest->empty())
-    return;
+void setDestination(const std::string &Path) {
   std::lock_guard<std::mutex> G(dumpLock());
-  if (*Dest == "-") {
+  destination() = Path;
+}
+
+void setSnapshots(bool On) { SnapshotsOn.store(On); }
+
+bool snapshotsEnabled() { return SnapshotsOn.load(); }
+
+void maybeDump(const CompileTrace &T) {
+  std::lock_guard<std::mutex> G(dumpLock());
+  const std::string &Dest = destination();
+  if (Dest.empty())
+    return;
+  if (Dest == "-") {
     std::string S = T.str();
     std::fwrite(S.data(), 1, S.size(), stderr);
     return;
   }
-  std::FILE *F = std::fopen(Dest->c_str(), "a");
+  std::FILE *F = std::fopen(Dest.c_str(), "a");
   if (!F) {
-    std::fprintf(stderr, "AKG_TRACE: cannot open %s\n", Dest->c_str());
+    std::fprintf(stderr, "AKG_TRACE: cannot open %s\n", Dest.c_str());
     return;
   }
   std::string Line = T.json() + "\n";

@@ -13,7 +13,8 @@
 // object per line (JSONL; schema in DESIGN.md 4g, validated by
 // tools/check_trace.py); AKG_TRACE=- prints the human-readable rendering
 // to stderr instead. AKG_TRACE_SNAPSHOTS=1 additionally embeds module /
-// schedule-tree snapshots in the events that declare one.
+// schedule-tree snapshots in the events that declare one. A tool's main
+// installs both once through setDestination / setSnapshots.
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,13 +76,20 @@ struct CompileTrace {
 
 namespace trace {
 
-/// True when AKG_TRACE_SNAPSHOTS is set (sampled per compile).
+/// Where maybeDump writes: "-" prints each trace human-readably to
+/// stderr, any other non-empty path appends T.json() as one line to that
+/// file, and "" (the default) turns dumping off. The tool's main installs
+/// AKG_TRACE here (akg/Environment.h).
+void setDestination(const std::string &Path);
+
+/// Whether passes embed module / schedule-tree snapshots in their events
+/// (AKG_TRACE_SNAPSHOTS; off by default).
+void setSnapshots(bool On);
 bool snapshotsEnabled();
 
-/// Honors AKG_TRACE: "-" prints \p T human-readably to stderr, any other
-/// value appends T.json() as one line to that file (serialized under a
-/// process-wide mutex so concurrent compiles interleave whole lines).
-/// No-op when AKG_TRACE is unset.
+/// Dumps \p T to the destination set above, serialized under a
+/// process-wide mutex so concurrent compiles interleave whole lines.
+/// No-op when no destination is set.
 void maybeDump(const CompileTrace &T);
 
 /// Debug echo to stderr, gated on AKG_STATS like the legacy inline

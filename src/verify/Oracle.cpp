@@ -8,7 +8,6 @@
 #include "ir/PolyExtract.h"
 #include "sim/DynRun.h"
 #include "sim/SimtRun.h"
-#include "support/Env.h"
 #include "target/Codegen.h"
 
 #include <cstdio>
@@ -187,11 +186,7 @@ OracleReport runOracle(const ir::Module &M, const OracleOptions &Opts) {
   // The same module compiled for the SIMT backend must agree with the
   // reference evaluator within tolerance, fit the SIMT capacities (the
   // retry ladder owns any degradation), and relower deterministically.
-  // AKG_TARGET is saved/unset around the block so an ambient override
-  // cannot silently turn this into a CCE-vs-CCE diff.
   if (Opts.SimtDifferential) {
-    std::optional<std::string> Saved = env::get("AKG_TARGET");
-    env::unset("AKG_TARGET");
     ConfigOutcome Out;
     Out.Config = "simt_differential";
     Out.Pass = true;
@@ -224,8 +219,6 @@ OracleReport runOracle(const ir::Module &M, const OracleOptions &Opts) {
         }
       }
     }
-    if (Saved)
-      env::set("AKG_TARGET", *Saved);
     Rep.Pass &= Out.Pass;
     Rep.Outcomes.push_back(Out);
   }
@@ -233,17 +226,16 @@ OracleReport runOracle(const ir::Module &M, const OracleOptions &Opts) {
   // --- Dynamic-shape differential (DESIGN.md 4k) ------------------------
   // For a module carrying shape-symbol marks: the bucketed serving path
   // (cache canonicalizes to the bucket skeleton, late-bound execution)
-  // must match the reference evaluator, and the AKG_DYNSHAPE=0 kill
-  // switch must reproduce the plain per-shape compile byte-identically.
-  // A module the admission analysis rejects passes trivially: the
-  // fallback IS the plain compile, which the functional matrix covers.
+  // must match the reference evaluator, and a cache with bucketing off
+  // (the AKG_DYNSHAPE=0 kill switch) must reproduce the plain per-shape
+  // compile byte-identically. A module the admission analysis rejects
+  // passes trivially: the fallback IS the plain compile, which the
+  // functional matrix covers.
   if (ir::hasDynamicDims(M)) {
-    std::optional<std::string> Saved = env::get("AKG_DYNSHAPE");
     {
       ConfigOutcome Out;
       Out.Config = "dynshape_bucketed";
       Out.Pass = true;
-      env::set("AKG_DYNSHAPE", "1");
       KernelCache Cache;
       CompileResult R = Cache.compileOrGet(M, AkgOptions{}, "oracle_dyn");
       if (!R.Outcome.isOk()) {
@@ -267,8 +259,9 @@ OracleReport runOracle(const ir::Module &M, const OracleOptions &Opts) {
       ConfigOutcome Out;
       Out.Config = "dynshape_killswitch";
       Out.Pass = true;
-      env::set("AKG_DYNSHAPE", "0");
-      KernelCache Cache;
+      KernelCacheConfig Off;
+      Off.DynShape = false;
+      KernelCache Cache(Off);
       CompileResult R0 = Cache.compileOrGet(M, AkgOptions{}, "oracle_dyn");
       CompileResult Plain = compileWithAkg(M, AkgOptions{}, "oracle_dyn");
       if (R0.DynShape) {
@@ -282,10 +275,6 @@ OracleReport runOracle(const ir::Module &M, const OracleOptions &Opts) {
       Rep.Pass &= Out.Pass;
       Rep.Outcomes.push_back(Out);
     }
-    if (Saved)
-      env::set("AKG_DYNSHAPE", *Saved);
-    else
-      env::unset("AKG_DYNSHAPE");
   }
 
   // --- Determinism sweep: 1 vs N threads, cold vs warm cache ------------

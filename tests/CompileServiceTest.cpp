@@ -4,15 +4,14 @@
 // compiled on 1 thread, on 4 threads, and from a warm cache produces
 // bit-identical CCE kernel dumps and identical DegradationReports.
 // Also unit-tests the thread pool, the service's job expansion, and the
-// thread safety of the Stats / env singletons the workers share.
+// thread safety of the Stats singleton the workers share.
 //
 //===----------------------------------------------------------------------===//
 
-#include "akg/CompileService.h"
+#include "akg/Environment.h"
 #include "graph/Networks.h"
 #include "graph/Ops.h"
 #include "support/Cancel.h"
-#include "support/Env.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "target/CceIr.h"
@@ -20,6 +19,7 @@
 #include <atomic>
 #include <chrono>
 #include <gtest/gtest.h>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -99,37 +99,20 @@ TEST(StatsConcurrency, CountersSurviveAHammer) {
   EXPECT_NEAR(Stats::get().timer("test.hammer_timer") - TBefore, 0.8, 1e-9);
 }
 
-TEST(EnvConcurrency, GuardedAccessorsSurviveAHammer) {
-  parallelFor(8, 8, [&](size_t I) {
-    std::string Name = "AKG_TEST_ENV_" + std::to_string(I);
-    for (int J = 0; J < 200; ++J) {
-      env::set(Name.c_str(), std::to_string(J));
-      // Interleave reads of a variable other threads are writing.
-      (void)env::get("AKG_TEST_ENV_0");
-      (void)env::isSet("AKG_TEST_ENV_7");
-    }
-  });
-  for (size_t I = 0; I < 8; ++I) {
-    std::string Name = "AKG_TEST_ENV_" + std::to_string(I);
-    auto V = env::get(Name.c_str());
-    ASSERT_TRUE(V.has_value());
-    EXPECT_EQ(*V, "199");
-    env::unset(Name.c_str());
-  }
-}
-
 TEST(CompileService, ThreadCountResolution) {
-  EXPECT_EQ(compileServiceThreads(3), 3u);
-  env::unset("AKG_THREADS");
-  EXPECT_EQ(compileServiceThreads(0), 1u); // unset -> sequential
-  env::set("AKG_THREADS", "6");
-  EXPECT_EQ(compileServiceThreads(0), 6u);
-  EXPECT_EQ(compileServiceThreads(2), 2u); // explicit beats env
-  env::set("AKG_THREADS", "not_a_number");
-  EXPECT_EQ(compileServiceThreads(0), 1u);
-  env::set("AKG_THREADS", "100000");
-  EXPECT_EQ(compileServiceThreads(0), 256u); // clamped
-  env::unset("AKG_THREADS");
+  auto Threads = [](std::map<std::string, std::string> Vars) {
+    return readEnvironment(mapLookup(std::move(Vars))).Service.Threads;
+  };
+  EXPECT_EQ(Threads({}), 1u); // unset -> sequential
+  EXPECT_EQ(Threads({{"AKG_THREADS", "6"}}), 6u);
+  EXPECT_EQ(Threads({{"AKG_THREADS", "not_a_number"}}), 1u);
+  EXPECT_EQ(Threads({{"AKG_THREADS", "100000"}}), 256u); // clamped
+  // An explicit option beats the environment.
+  CompileService::Options SO =
+      readEnvironment(mapLookup({{"AKG_THREADS", "6"}})).Service;
+  SO.Threads = 2;
+  CompileService Svc(SO);
+  EXPECT_EQ(Svc.threads(), 2u);
 }
 
 TEST(CompileService, NetworkJobsExpandOccurrences) {

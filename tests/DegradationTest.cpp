@@ -10,9 +10,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "akg/Compiler.h"
+#include "akg/Environment.h"
 #include "graph/Ops.h"
 #include "poly/Lp.h"
-#include "support/Env.h"
 #include "support/Rational.h"
 
 #include <cstdlib>
@@ -86,10 +86,14 @@ TEST(Degradation, InjectedCubePipelineStaysCorrect) {
 }
 
 TEST(Degradation, EnvVarOverridesFailStage) {
+  // AKG_FAIL_STAGE replaces the default (no injection) in the options a
+  // tool reads at start.
   auto M = makeChain();
-  env::set("AKG_FAIL_STAGE", "double_buffer");
-  CompileResult R = compileWithAkg(*M, AkgOptions{}, "env_inject");
-  env::unset("AKG_FAIL_STAGE");
+  AkgOptions O =
+      readEnvironment(mapLookup({{"AKG_FAIL_STAGE", "double_buffer"}}))
+          .Compile;
+  EXPECT_EQ(O.FailStage, Stage::DoubleBuffer);
+  CompileResult R = compileWithAkg(*M, O, "env_inject");
   EXPECT_TRUE(R.Degradation.hasStage(Stage::DoubleBuffer))
       << R.Degradation.str();
   EXPECT_LT(verifyKernel(R.Kernel, *M, machine()), 1e-5);

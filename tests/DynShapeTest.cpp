@@ -9,14 +9,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "akg/DynShape.h"
-#include "akg/KernelCache.h"
+#include "akg/Environment.h"
 #include "akg/ShapeBuckets.h"
 #include "ir/ModuleUtils.h"
 #include "ir/SymbolicShape.h"
 #include "scheduler/ShapeDep.h"
 #include "sim/DynRun.h"
 #include "sim/SimtRun.h"
-#include "support/Env.h"
 
 #include <gtest/gtest.h>
 #include <memory>
@@ -111,17 +110,18 @@ TEST(ShapeBuckets, DefaultBoundsAndEdges) {
 }
 
 TEST(ShapeBuckets, EnvOverrideAndMalformedFallsBack) {
-  env::set("AKG_SHAPE_BUCKETS", "8,32");
-  BucketScheme S = BucketScheme::fromEnv();
+  auto Buckets = [](const char *V) {
+    return readEnvironment(mapLookup({{"AKG_SHAPE_BUCKETS", V}}))
+        .Cache.Buckets;
+  };
+  BucketScheme S = Buckets("8,32");
   ASSERT_EQ(S.bounds().size(), 2u);
   EXPECT_EQ(S.bucketFor(9)->Hi, 32);
   EXPECT_FALSE(S.bucketFor(33).has_value());
   // Non-increasing and garbage inputs fall back to the defaults.
-  env::set("AKG_SHAPE_BUCKETS", "32,8");
-  EXPECT_EQ(BucketScheme::fromEnv().bounds().size(), 5u);
-  env::set("AKG_SHAPE_BUCKETS", "16,potato");
-  EXPECT_EQ(BucketScheme::fromEnv().bounds().size(), 5u);
-  env::unset("AKG_SHAPE_BUCKETS");
+  EXPECT_EQ(Buckets("32,8").bounds().size(), 5u);
+  EXPECT_EQ(Buckets("16,potato").bounds().size(), 5u);
+  EXPECT_FALSE(BucketScheme::parse("16,potato").has_value());
 }
 
 //===----------------------------------------------------------------------===//
@@ -314,7 +314,7 @@ TEST(DynShapePlan, BucketedKeyNeverAliasesPlainConcreteKey) {
 }
 
 TEST(DynShapeCache, SameBucketSharesOneSkeletonCompile) {
-  KernelCache C(64);
+  KernelCache C;
   AkgOptions O;
   auto M1 = makeDynEltwise(40);
   auto M2 = makeDynEltwise(63); // same bucket (16, 64]
@@ -339,7 +339,7 @@ TEST(DynShapeCache, SameBucketSharesOneSkeletonCompile) {
 }
 
 TEST(DynShapeCache, DifferentBucketsCompileSeparately) {
-  KernelCache C(64);
+  KernelCache C;
   AkgOptions O;
   auto M1 = makeDynEltwise(10); // bucket [1,16]
   auto M2 = makeDynEltwise(40); // bucket (16,64]
@@ -350,14 +350,15 @@ TEST(DynShapeCache, DifferentBucketsCompileSeparately) {
 }
 
 TEST(DynShapeCache, KillSwitchDisablesBucketing) {
-  env::set("AKG_DYNSHAPE", "0");
-  KernelCache C(64);
+  KernelCacheConfig Cfg =
+      readEnvironment(mapLookup({{"AKG_DYNSHAPE", "0"}})).Cache;
+  EXPECT_FALSE(Cfg.DynShape);
+  KernelCache C(Cfg);
   AkgOptions O;
   auto M1 = makeDynEltwise(40);
   auto M2 = makeDynEltwise(63);
   CompileResult R1 = C.compileOrGet(*M1, O, "k40");
   CompileResult R2 = C.compileOrGet(*M2, O, "k63");
-  env::unset("AKG_DYNSHAPE");
   ASSERT_TRUE(R1.Outcome.isOk());
   EXPECT_EQ(R1.DynShape, nullptr);
   EXPECT_EQ(R2.DynShape, nullptr);
@@ -367,7 +368,7 @@ TEST(DynShapeCache, KillSwitchDisablesBucketing) {
 }
 
 TEST(DynShapeCache, UnsupportedModuleFallsBackAndStillCompiles) {
-  KernelCache C(64);
+  KernelCache C;
   AkgOptions O;
   auto M = std::make_shared<Module>();
   Tensor A = M->placeholder("a", {33}, DType::F32);
@@ -413,7 +414,7 @@ void expectBoundMatchesFresh(KernelCache &C, std::shared_ptr<Module> M,
 } // namespace
 
 TEST(DynShapeBind, EltwiseMatchesFreshAcrossBucketEdges) {
-  KernelCache C(64);
+  KernelCache C;
   for (int64_t N : {1, 15, 16, 17, 63, 64, 65}) {
     auto M = makeDynEltwise(N, 16);
     expectBoundMatchesFresh(C, M, "elt_n" + std::to_string(N));
@@ -424,7 +425,7 @@ TEST(DynShapeBind, EltwiseMatchesFreshAcrossBucketEdges) {
 }
 
 TEST(DynShapeBind, RowSumMatchesFresh) {
-  KernelCache C(64);
+  KernelCache C;
   for (int64_t N : {3, 16, 30}) {
     auto M = makeDynRowSum(N);
     expectBoundMatchesFresh(C, M, "rowsum_n" + std::to_string(N));
@@ -432,7 +433,7 @@ TEST(DynShapeBind, RowSumMatchesFresh) {
 }
 
 TEST(DynShapeBind, GemmDynamicRowsMatchesFresh) {
-  KernelCache C(64);
+  KernelCache C;
   for (int64_t Rows : {5, 16, 48}) {
     auto M = makeDynGemm(Rows);
     expectBoundMatchesFresh(C, M, "gemm_m" + std::to_string(Rows));
@@ -442,7 +443,7 @@ TEST(DynShapeBind, GemmDynamicRowsMatchesFresh) {
 TEST(DynShapeBind, ConcurrentBindsAreDeterministic) {
   // N threads bind different extents of one bucket concurrently; each
   // result must be bit-identical to a sequential bind of that extent.
-  KernelCache C(64);
+  KernelCache C;
   AkgOptions O;
   const int64_t Extents[] = {20, 30, 40, 50};
   uint64_t SeqBits[4];
@@ -473,7 +474,7 @@ TEST(DynShapeBind, SimtBucketRunsOnTheSimtModel) {
   // A bucketed kernel compiled for SIMT must bind and run on the SIMT
   // simulator: same outputs as the reference, and simulateSimt's cycles
   // rather than the CCE model's.
-  KernelCache C(64);
+  KernelCache C;
   AkgOptions O;
   O.Target = sim::TargetKind::Simt;
   auto M = makeDynEltwise(40);

@@ -8,14 +8,14 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "akg/KernelCache.h"
+#include "akg/Environment.h"
 #include "graph/Ops.h"
 #include "support/Cancel.h"
-#include "support/Env.h"
 #include "target/CceIr.h"
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <gtest/gtest.h>
 #include <memory>
 #include <set>
@@ -214,17 +214,128 @@ TEST(CacheKey, EveryMachineFieldChangesFingerprint) {
 }
 
 TEST(CacheKey, EnvFailStageOverrideChangesFingerprint) {
-  AkgOptions O;
-  uint64_t Clean = fingerprintOptions(O);
-  env::set("AKG_FAIL_STAGE", "vectorize");
-  uint64_t Injected = fingerprintOptions(O);
-  env::unset("AKG_FAIL_STAGE");
-  EXPECT_NE(Clean, Injected);
-  // And the override fingerprints like the equivalent explicit option.
+  // AKG_FAIL_STAGE replaces the default stage in the options a tool reads
+  // at start, and fingerprints like the equivalent explicit option.
+  AkgOptions Clean;
+  AkgOptions Injected =
+      readEnvironment(mapLookup({{"AKG_FAIL_STAGE", "vectorize"}})).Compile;
+  EXPECT_NE(fingerprintOptions(Clean), fingerprintOptions(Injected));
   AkgOptions Explicit;
   Explicit.FailStage = Stage::Vectorize;
-  EXPECT_EQ(Injected, fingerprintOptions(Explicit));
-  EXPECT_EQ(Clean, fingerprintOptions(O)); // restored after unset
+  EXPECT_EQ(fingerprintOptions(Injected), fingerprintOptions(Explicit));
+}
+
+TEST(CacheKey, CoversEveryAkgOptionsField) {
+  // One mutation per AkgOptions field: a field that can change the kernel
+  // must change fingerprintOptions, and the ones that cannot
+  // (RequestDeadlineMs, Cancel, AstGen.UseMemo) must not. Each
+  // structured binding stops compiling when its struct gains a field,
+  // until the field joins the sweep below.
+  AkgOptions Base;
+  [[maybe_unused]] auto &[Target, Scheduler, Codegen, Sync, ManualTiles,
+                          PostTilingFusion, IntraTile, Inlining,
+                          MaxTileRetries, Budget, AstGen, FailStage,
+                          RequestDeadlineMs, Cancel] = Base;
+  [[maybe_unused]] auto &[Fusion, AllowSkew, AllowShift, CoeffBound,
+                          ShiftBound, UseBoundingFunction, IlpNodeBudget,
+                          DeadlineSeconds, ForceFallback] = Base.Scheduler;
+  [[maybe_unused]] auto &[Machine, Simt, EnableVectorize,
+                          EnableDoubleBuffer] = Base.Codegen;
+  [[maybe_unused]] auto &[BudgetDeadline, BudgetNodes] = Base.Budget;
+  [[maybe_unused]] auto &[UseMemo] = Base.AstGen;
+
+  struct Probe {
+    const char *Field;
+    std::function<void(AkgOptions &)> Mutate;
+    bool KeyChanges;
+  };
+  const Probe Probes[] = {
+      {"Target", [](AkgOptions &O) { O.Target = sim::TargetKind::Simt; },
+       true},
+      {"Scheduler.Fusion",
+       [](AkgOptions &O) {
+         O.Scheduler.Fusion = sched::FusionStrategy::Aggressive;
+       },
+       true},
+      {"Scheduler.AllowSkew",
+       [](AkgOptions &O) { O.Scheduler.AllowSkew = !O.Scheduler.AllowSkew; },
+       true},
+      {"Scheduler.AllowShift",
+       [](AkgOptions &O) {
+         O.Scheduler.AllowShift = !O.Scheduler.AllowShift;
+       },
+       true},
+      {"Scheduler.CoeffBound", [](AkgOptions &O) { ++O.Scheduler.CoeffBound; },
+       true},
+      {"Scheduler.ShiftBound", [](AkgOptions &O) { ++O.Scheduler.ShiftBound; },
+       true},
+      {"Scheduler.UseBoundingFunction",
+       [](AkgOptions &O) {
+         O.Scheduler.UseBoundingFunction = !O.Scheduler.UseBoundingFunction;
+       },
+       true},
+      {"Scheduler.IlpNodeBudget",
+       [](AkgOptions &O) { O.Scheduler.IlpNodeBudget = 777; }, true},
+      {"Scheduler.DeadlineSeconds",
+       [](AkgOptions &O) { O.Scheduler.DeadlineSeconds = 1.5; }, true},
+      {"Scheduler.ForceFallback",
+       [](AkgOptions &O) {
+         O.Scheduler.ForceFallback = !O.Scheduler.ForceFallback;
+       },
+       true},
+      {"Codegen.Machine",
+       [](AkgOptions &O) { O.Codegen.Machine.UBBytes /= 2; }, true},
+      {"Codegen.Simt",
+       [](AkgOptions &O) { O.Codegen.Simt.SharedMemBytes /= 2; }, true},
+      {"Codegen.EnableVectorize",
+       [](AkgOptions &O) {
+         O.Codegen.EnableVectorize = !O.Codegen.EnableVectorize;
+       },
+       true},
+      {"Codegen.EnableDoubleBuffer",
+       [](AkgOptions &O) {
+         O.Codegen.EnableDoubleBuffer = !O.Codegen.EnableDoubleBuffer;
+       },
+       true},
+      {"Sync", [](AkgOptions &O) { O.Sync = cce::SyncStrategy::FullSerial; },
+       true},
+      {"ManualTiles",
+       [](AkgOptions &O) {
+         transforms::TilingPolicy TP;
+         TP.PerStmt[0].Entries.push_back(transforms::TileSpecEntry{8, "UB"});
+         O.ManualTiles = TP;
+       },
+       true},
+      {"EnablePostTilingFusion",
+       [](AkgOptions &O) {
+         O.EnablePostTilingFusion = !O.EnablePostTilingFusion;
+       },
+       true},
+      {"EnableIntraTile",
+       [](AkgOptions &O) { O.EnableIntraTile = !O.EnableIntraTile; }, true},
+      {"EnableInlining",
+       [](AkgOptions &O) { O.EnableInlining = !O.EnableInlining; }, true},
+      {"MaxTileRetries", [](AkgOptions &O) { ++O.MaxTileRetries; }, true},
+      {"Budget.DeadlineSeconds",
+       [](AkgOptions &O) { O.Budget.DeadlineSeconds = 2.0; }, true},
+      {"Budget.IlpNodeBudget",
+       [](AkgOptions &O) { O.Budget.IlpNodeBudget = 555; }, true},
+      {"FailStage", [](AkgOptions &O) { O.FailStage = Stage::Storage; },
+       true},
+      {"RequestDeadlineMs", [](AkgOptions &O) { O.RequestDeadlineMs = 5; },
+       false},
+      {"Cancel",
+       [](AkgOptions &O) { O.Cancel = std::make_shared<CancelToken>(); },
+       false},
+      {"AstGen.UseMemo",
+       [](AkgOptions &O) { O.AstGen.UseMemo = !O.AstGen.UseMemo; }, false},
+  };
+  const uint64_t Ref = fingerprintOptions(Base);
+  for (const Probe &P : Probes) {
+    AkgOptions O = Base;
+    P.Mutate(O);
+    EXPECT_EQ(fingerprintOptions(O) != Ref, P.KeyChanges) << P.Field;
+  }
 }
 
 TEST(KernelCache, HitReturnsBitIdenticalResult) {
@@ -293,7 +404,9 @@ TEST(KernelCache, AlphaRenamedModulesCompileSeparately) {
 }
 
 TEST(KernelCache, LruEvictionAtCapacity) {
-  KernelCache Cache(/*MaxEntries=*/2);
+  KernelCacheConfig Cfg;
+  Cfg.MaxEntries = 2;
+  KernelCache Cache(Cfg);
   EXPECT_EQ(Cache.capacity(), 2u);
   auto MA = makeNamedChain("ev", 8, 16);
   auto MB = makeNamedChain("ev", 8, 32);

@@ -13,7 +13,6 @@
 #include "akg/KernelStore.h"
 #include "graph/Ops.h"
 #include "sim/Simulator.h"
-#include "support/Env.h"
 #include "support/Stats.h"
 #include "target/CceIr.h"
 #include "transforms/AutoTiling.h"
@@ -41,25 +40,6 @@ std::string freshDir(const std::string &Tag) {
   mkdir(D.c_str(), 0755);
   return D;
 }
-
-/// Scoped environment override that restores the prior state.
-class ScopedEnv {
-public:
-  ScopedEnv(const char *Name, const std::string &Value) : Name(Name) {
-    Old = env::get(Name);
-    env::set(Name, Value);
-  }
-  ~ScopedEnv() {
-    if (Old)
-      env::set(Name, *Old);
-    else
-      env::unset(Name);
-  }
-
-private:
-  const char *Name;
-  std::optional<std::string> Old;
-};
 
 CompileResult compileSample(const char *Name = "store_sample") {
   auto M = graph::makeTensorAdd({8, 16, 4});
@@ -312,19 +292,21 @@ TEST(KernelStore, TwoProcessesShareAStore) {
 
 TEST(KernelStoreTiered, SecondProcessServesFirstRequestFromDisk) {
   // Simulated restart: two distinct in-memory caches (cold memory tier)
-  // over one AKG_CACHE_DIR. The second cache's FIRST request must be
+  // over one disk directory. The second cache's FIRST request must be
   // served from disk - observable via stats().DiskHits and the cache_hit
   // trace marker - without recompiling.
-  ScopedEnv Env("AKG_CACHE_DIR", freshDir("tiered"));
+  KernelCacheConfig Cfg;
+  Cfg.MaxEntries = 16;
+  Cfg.DiskDir = freshDir("tiered");
   auto M = graph::makeTensorAdd({4, 8, 4});
   AkgOptions Opts;
 
-  KernelCache Cold1(16);
+  KernelCache Cold1(Cfg);
   CompileResult First = Cold1.compileOrGet(*M, Opts, "proc");
   ASSERT_TRUE(First.Outcome.isOk());
   EXPECT_EQ(Cold1.stats().DiskHits, 0); // fresh dir: compiled, persisted
 
-  KernelCache Cold2(16);
+  KernelCache Cold2(Cfg);
   CompileResult Second = Cold2.compileOrGet(*M, Opts, "proc");
   ASSERT_TRUE(Second.Outcome.isOk());
   EXPECT_EQ(Cold2.stats().DiskHits, 1);
@@ -342,14 +324,14 @@ TEST(KernelStoreTiered, SecondProcessServesFirstRequestFromDisk) {
 }
 
 //===----------------------------------------------------------------------===//
-// ast_gen memo (AKG_ASTGEN_MEMO)
+// ast_gen memo (AstGenOptions::UseMemo, AKG_ASTGEN_MEMO)
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 std::string kernelWithTiles(const Module &M, int64_t Tile, bool Memo) {
-  ScopedEnv Env("AKG_ASTGEN_MEMO", Memo ? "1" : "0");
   AkgOptions O;
+  O.AstGen.UseMemo = Memo;
   if (Tile > 0) {
     transforms::TilingPolicy TP;
     transforms::StmtTileSpec Spec;
@@ -381,7 +363,6 @@ TEST(AstGenMemo, BitIdenticalAcrossEmittedSetChanges) {
 
 TEST(AstGenMemo, MemoHitsAreObservable) {
   auto M = graph::makeTensorAdd({8, 24});
-  ScopedEnv Env("AKG_ASTGEN_MEMO", "1");
   compileWithAkg(*M, AkgOptions{}, "warmup");
   int64_t HitsBefore = Stats::get().counter("astgen.proj_memo_hit");
   compileWithAkg(*M, AkgOptions{}, "warm");

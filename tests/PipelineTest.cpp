@@ -5,12 +5,11 @@
 // decisions (retile, fusion rejection, fault injection) appear as
 // synthetic events, the JSON rendering matches the documented schema,
 // AKG_TRACE dumps land on disk, cache-served results are marked, and
-// resolveFailStage arbitrates between AKG_FAIL_STAGE and the option.
+// AKG_FAIL_STAGE / AKG_DEADLINE_MS parse into the options a tool passes.
 //
 //===----------------------------------------------------------------------===//
 
-#include "akg/Compiler.h"
-#include "akg/KernelCache.h"
+#include "akg/Environment.h"
 #include "akg/Pipeline.h"
 #include "graph/Ops.h"
 #include "ir/PolyExtract.h"
@@ -18,7 +17,6 @@
 #include "scheduler/Dependence.h"
 #include "scheduler/Pluto.h"
 #include "support/Cancel.h"
-#include "support/Env.h"
 #include "support/Stats.h"
 #include "target/CceIr.h"
 
@@ -222,11 +220,14 @@ TEST(Pipeline, JsonEscapesSpecialCharacters) {
 TEST(Pipeline, AkgTraceDumpsJsonlToFile) {
   std::string Path = testing::TempDir() + "akg_trace_test.jsonl";
   std::remove(Path.c_str());
-  env::set("AKG_TRACE", Path);
+  // What a tool's main installs for AKG_TRACE=<path>.
+  Environment Env = readEnvironment(mapLookup({{"AKG_TRACE", Path}}));
+  EXPECT_EQ(Env.Diag.TracePath, Path);
+  Env.installDiagnostics();
   auto M = graph::makeMatmul(64, 64, 64);
   compileWithAkg(*M, AkgOptions(), "dump_a");
   compileWithAkg(*M, AkgOptions(), "dump_b");
-  env::unset("AKG_TRACE");
+  trace::setDestination("");
 
   std::ifstream In(Path);
   ASSERT_TRUE(In.good()) << Path;
@@ -289,25 +290,34 @@ TEST(Pipeline, StatsSnapshotDiffReportsOnlyMovedCounters) {
   EXPECT_TRUE(Stats::diffCounters(After, After).empty());
 }
 
-// --- resolveFailStage arbitration (satellite: AKG_FAIL_STAGE precedence) --
+// --- Where the fault-injection stage comes from (AKG_FAIL_STAGE) ---------
 
 TEST(Pipeline, ResolveFailStageUsesOptionWhenEnvUnset) {
-  env::unset("AKG_FAIL_STAGE");
-  AkgOptions O;
-  EXPECT_EQ(resolveFailStage(O), Stage::None);
+  // Unset: the built-in default; an explicit option is used as given.
+  AkgOptions O = readEnvironment(mapLookup({})).Compile;
+  EXPECT_EQ(O.FailStage, Stage::None);
   O.FailStage = Stage::Tiling;
-  EXPECT_EQ(resolveFailStage(O), Stage::Tiling);
+  auto M = graph::makeMatmul(64, 64, 64);
+  CompileResult R = compileWithAkg(*M, O, "option_stage");
+  EXPECT_TRUE(R.Degradation.hasStage(Stage::Tiling)) << R.Degradation.str();
 }
 
 TEST(Pipeline, ResolveFailStageEnvOverridesOption) {
-  AkgOptions O;
-  O.FailStage = Stage::Tiling;
-  env::set("AKG_FAIL_STAGE", "double-buffer"); // dash form parses too
-  EXPECT_EQ(resolveFailStage(O), Stage::DoubleBuffer);
-  env::set("AKG_FAIL_STAGE", "storage");
-  EXPECT_EQ(resolveFailStage(O), Stage::Storage);
-  env::unset("AKG_FAIL_STAGE");
-  EXPECT_EQ(resolveFailStage(O), Stage::Tiling);
+  // AKG_FAIL_STAGE replaces the built-in stage in the options a tool starts
+  // from, and the compile fails that stage. A flag set on top of those
+  // options wins over the environment
+  // (Environment.ExplicitOptionsOverrideTheEnvironment).
+  auto StageOf = [](const char *V) {
+    return readEnvironment(mapLookup({{"AKG_FAIL_STAGE", V}}))
+        .Compile.FailStage;
+  };
+  EXPECT_EQ(StageOf("double-buffer"), Stage::DoubleBuffer); // dash form
+  EXPECT_EQ(StageOf("storage"), Stage::Storage);
+  AkgOptions O =
+      readEnvironment(mapLookup({{"AKG_FAIL_STAGE", "tiling"}})).Compile;
+  auto M = graph::makeMatmul(64, 64, 64);
+  CompileResult R = compileWithAkg(*M, O, "env_stage");
+  EXPECT_TRUE(R.Degradation.hasStage(Stage::Tiling)) << R.Degradation.str();
 }
 
 // --- Deadlines + cooperative cancellation (DESIGN.md 4h) -----------------
@@ -358,16 +368,16 @@ TEST(PipelineCancel, HardDeadlineReturnsDeadlineExceeded) {
 }
 
 TEST(PipelineCancel, EnvDeadlineAppliesWhenOptionUnset) {
-  auto M = graph::makeMatmul(128, 128, 128);
-  env::set("AKG_DEADLINE_MS", "1"); // integer grammar, like production
-  CompileResult R = compileWithAkg(*M, AkgOptions(), "env_deadline");
-  env::unset("AKG_DEADLINE_MS");
-  EXPECT_EQ(R.Outcome.code(), ErrCode::DeadlineExceeded);
-  // The env override is per-request, not sticky: the next compile with
-  // no deadline runs clean.
-  CompileResult Clean = compileWithAkg(*M, AkgOptions(), "after_env");
-  EXPECT_TRUE(Clean.Outcome.isOk());
-  EXPECT_TRUE(Clean.Degradation.Steps.empty()) << Clean.Degradation.str();
+  // AKG_DEADLINE_MS (integer grammar) becomes the request deadline of the
+  // options a tool reads at start; HardDeadlineReturnsDeadlineExceeded
+  // covers enforcement. Unset or malformed means no deadline.
+  EXPECT_EQ(readEnvironment(mapLookup({{"AKG_DEADLINE_MS", "1"}}))
+                .Compile.RequestDeadlineMs,
+            1);
+  EXPECT_EQ(readEnvironment(mapLookup({})).Compile.RequestDeadlineMs, 0);
+  EXPECT_EQ(readEnvironment(mapLookup({{"AKG_DEADLINE_MS", "1.5"}}))
+                .Compile.RequestDeadlineMs,
+            0);
 }
 
 TEST(PipelineCancel, UnwoundCompileLeavesNoCorruptionBehind) {
@@ -455,13 +465,16 @@ TEST(PipelineCancel, FailedOutcomesAreNeverCached) {
 }
 
 TEST(Pipeline, ResolveFailStageUnparseableEnvFallsBackToOption) {
-  AkgOptions O;
-  O.FailStage = Stage::Sync;
-  env::set("AKG_FAIL_STAGE", "not-a-stage");
-  EXPECT_EQ(resolveFailStage(O), Stage::Sync);
-  env::set("AKG_FAIL_STAGE", "");
-  EXPECT_EQ(resolveFailStage(O), Stage::Sync);
-  env::unset("AKG_FAIL_STAGE");
+  // An AKG_FAIL_STAGE that names no stage leaves the default in place;
+  // the dash form of a stage name parses.
+  for (const char *Bad : {"not-a-stage", ""})
+    EXPECT_EQ(readEnvironment(mapLookup({{"AKG_FAIL_STAGE", Bad}}))
+                  .Compile.FailStage,
+              Stage::None)
+        << Bad;
+  EXPECT_EQ(readEnvironment(mapLookup({{"AKG_FAIL_STAGE", "double-buffer"}}))
+                .Compile.FailStage,
+            Stage::DoubleBuffer);
 }
 
 } // namespace

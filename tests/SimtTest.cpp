@@ -1,7 +1,7 @@
 //===- tests/SimtTest.cpp - Target abstraction + SIMT backend tests -------===//
 //
-// Covers the target layer's dispatch edges: name tables, AKG_TARGET vs
-// AkgOptions::Target arbitration, cache-key target separation (including
+// Covers the target layer's dispatch edges: name tables, AKG_TARGET
+// parsing into AkgOptions::Target, cache-key target separation (including
 // per-field SimtSpec fingerprint sensitivity), SIMT lowering correctness
 // against the reference evaluator, determinism across service thread
 // counts, shared-memory capacity degradation through the retry ladder,
@@ -10,13 +10,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "akg/CompileService.h"
-#include "akg/KernelCache.h"
+#include "akg/Environment.h"
 #include "akg/KernelStore.h"
 #include "composite/Composite.h"
 #include "graph/Ops.h"
 #include "sim/SimtRun.h"
-#include "support/Env.h"
 #include "target/CceIr.h"
 #include "target/Sync.h"
 #include "target/TargetBackend.h"
@@ -33,17 +31,6 @@ AkgOptions simtOptions() {
   O.Target = sim::TargetKind::Simt;
   return O;
 }
-
-/// Guard: clears AKG_TARGET for the test body and restores it after, so
-/// an ambient override can never redirect these compiles.
-struct TargetEnvGuard {
-  std::optional<std::string> Saved = env::get("AKG_TARGET");
-  TargetEnvGuard() { env::unset("AKG_TARGET"); }
-  ~TargetEnvGuard() {
-    if (Saved)
-      env::set("AKG_TARGET", *Saved);
-  }
-};
 
 // --- String tables --------------------------------------------------------
 
@@ -71,52 +58,57 @@ TEST(Target, ParseRejectsUnknownNamesWithoutTouchingOut) {
   EXPECT_EQ(K, sim::TargetKind::Simt);
 }
 
-// --- resolveTarget arbitration (mirrors resolveFailStage) -----------------
+// --- Where the target comes from (AKG_TARGET) -----------------------------
 
 TEST(Target, ResolveUsesOptionWhenEnvUnset) {
-  TargetEnvGuard G;
-  AkgOptions O;
-  EXPECT_EQ(resolveTarget(O), sim::TargetKind::Cce);
+  // Unset: the built-in default; an explicit option is used as given.
+  AkgOptions O = readEnvironment(mapLookup({})).Compile;
+  EXPECT_EQ(O.Target, sim::TargetKind::Cce);
   O.Target = sim::TargetKind::Simt;
-  EXPECT_EQ(resolveTarget(O), sim::TargetKind::Simt);
+  ModulePtr M = makeTensorAdd({8, 16});
+  EXPECT_EQ(compileWithAkg(*M, O, "opt").Kernel.Target,
+            sim::TargetKind::Simt);
 }
 
 TEST(Target, ResolveEnvOverridesOption) {
-  TargetEnvGuard G;
-  AkgOptions O;
-  O.Target = sim::TargetKind::Cce;
-  env::set("AKG_TARGET", "simt");
-  EXPECT_EQ(resolveTarget(O), sim::TargetKind::Simt);
-  env::set("AKG_TARGET", "cce");
-  O.Target = sim::TargetKind::Simt;
-  EXPECT_EQ(resolveTarget(O), sim::TargetKind::Cce);
+  // AKG_TARGET replaces the built-in target in the options a tool starts
+  // from, and the compile uses it. A flag set on top of those options wins
+  // over the environment (Environment.ExplicitOptionsOverrideTheEnvironment).
+  auto TargetOf = [](const char *V) {
+    return readEnvironment(mapLookup({{"AKG_TARGET", V}})).Compile.Target;
+  };
+  EXPECT_EQ(TargetOf("simt"), sim::TargetKind::Simt);
+  EXPECT_EQ(TargetOf("cce"), sim::TargetKind::Cce);
+  AkgOptions O = readEnvironment(mapLookup({{"AKG_TARGET", "simt"}})).Compile;
+  ModulePtr M = makeTensorAdd({8, 16});
+  EXPECT_EQ(compileWithAkg(*M, O, "env").Kernel.Target,
+            sim::TargetKind::Simt);
 }
 
 TEST(Target, ResolveIgnoresUnparseableEnv) {
-  TargetEnvGuard G;
-  AkgOptions O;
-  O.Target = sim::TargetKind::Simt;
-  env::set("AKG_TARGET", "gpu"); // unknown name: option wins, no crash
-  EXPECT_EQ(resolveTarget(O), sim::TargetKind::Simt);
+  auto TargetOf = [](const char *V) {
+    return readEnvironment(mapLookup({{"AKG_TARGET", V}})).Compile.Target;
+  };
+  EXPECT_EQ(TargetOf("simt"), sim::TargetKind::Simt);
+  EXPECT_EQ(TargetOf("gpu"), sim::TargetKind::Cce); // unknown: default
 }
 
 // --- Cache-key target separation ------------------------------------------
 
 TEST(Target, CacheKeySeparatesTargets) {
-  TargetEnvGuard G;
   ModulePtr M = makeTensorAdd({8, 16});
   AkgOptions Cce;
   CacheKey KC = makeCacheKey(*M, Cce);
   CacheKey KS = makeCacheKey(*M, simtOptions());
   EXPECT_FALSE(KC == KS) << "cce and simt compiles may never share a "
                             "cache line";
-  // The env override changes the key exactly like the option does.
-  env::set("AKG_TARGET", "simt");
-  EXPECT_TRUE(makeCacheKey(*M, Cce) == KS);
+  // AKG_TARGET read into the options keys exactly like the option does.
+  AkgOptions FromEnv =
+      readEnvironment(mapLookup({{"AKG_TARGET", "simt"}})).Compile;
+  EXPECT_TRUE(makeCacheKey(*M, FromEnv) == KS);
 }
 
 TEST(Target, CacheKeyCoversEverySimtSpecField) {
-  TargetEnvGuard G;
   ModulePtr M = makeTensorAdd({8, 16});
   AkgOptions Base = simtOptions();
   CacheKey Ref = makeCacheKey(*M, Base);
@@ -138,7 +130,6 @@ TEST(Target, CacheKeyCoversEverySimtSpecField) {
 }
 
 TEST(Target, SharedCacheServesEachTargetItsOwnKernel) {
-  TargetEnvGuard G;
   ModulePtr M = makeTensorAdd({16, 32});
   KernelCache Cache;
   CompileResult RC = Cache.compileOrGet(*M, AkgOptions{}, "dual");
@@ -159,7 +150,6 @@ TEST(Target, SharedCacheServesEachTargetItsOwnKernel) {
 // --- SIMT lowering: correctness, structure, determinism -------------------
 
 TEST(Simt, ElementwiseMatchesReference) {
-  TargetEnvGuard G;
   ModulePtr M = makeTensorAdd({16, 48, 24, 24});
   CompileResult R = compileWithAkg(*M, simtOptions(), "simt_add");
   ASSERT_TRUE(R.Outcome.isOk());
@@ -170,7 +160,6 @@ TEST(Simt, ElementwiseMatchesReference) {
 }
 
 TEST(Simt, MatmulMatchesReference) {
-  TargetEnvGuard G;
   ModulePtr M = makeMatmul(64, 96, 48);
   CompileResult R = compileWithAkg(*M, simtOptions(), "simt_mm");
   ASSERT_TRUE(R.Outcome.isOk());
@@ -180,7 +169,6 @@ TEST(Simt, MatmulMatchesReference) {
 }
 
 TEST(Simt, ReductionMatchesReference) {
-  TargetEnvGuard G;
   ModulePtr M = makeBnReduce(8, 16, 14, 14);
   CompileResult R = compileWithAkg(*M, simtOptions(), "simt_bn");
   ASSERT_TRUE(R.Outcome.isOk());
@@ -190,7 +178,6 @@ TEST(Simt, ReductionMatchesReference) {
 }
 
 TEST(Simt, KernelShapeAndBarriers) {
-  TargetEnvGuard G;
   ModulePtr M = makeTensorAdd({16, 48, 24, 24});
   CompileResult R = compileWithAkg(*M, simtOptions(), "simt_shape");
   ASSERT_TRUE(R.Outcome.isOk());
@@ -217,7 +204,6 @@ TEST(Simt, KernelShapeAndBarriers) {
 }
 
 TEST(Simt, SimulationIsDeterministic) {
-  TargetEnvGuard G;
   ModulePtr M = makeRelu({8, 32, 14, 14});
   CompileResult R = compileWithAkg(*M, simtOptions(), "simt_det");
   ASSERT_TRUE(R.Outcome.isOk());
@@ -233,7 +219,6 @@ TEST(Simt, SimulationIsDeterministic) {
 }
 
 TEST(Simt, CompileIsDeterministicAcrossServiceThreads) {
-  TargetEnvGuard G;
   ModulePtr M = makeBnUpdate(8, 32, 14, 14);
   std::vector<CompileJob> Jobs(3, CompileJob{M.get(), simtOptions(),
                                              "simt_threads"});
@@ -251,7 +236,6 @@ TEST(Simt, CompileIsDeterministicAcrossServiceThreads) {
 }
 
 TEST(Simt, SharedCapacityDegradesThroughRetryLadder) {
-  TargetEnvGuard G;
   // A shared memory too small for the auto-tiled footprint: the tile
   // retry ladder must halve until the kernel fits, still correct.
   ModulePtr M = makeTensorAdd({16, 64, 24, 24});
@@ -266,7 +250,6 @@ TEST(Simt, SharedCapacityDegradesThroughRetryLadder) {
 }
 
 TEST(Simt, ScalarFallbackCarriesTarget) {
-  TargetEnvGuard G;
   ModulePtr M = makeTensorAdd({8, 8});
   const TargetBackend &B = targetBackend(sim::TargetKind::Simt);
   cce::Kernel K = B.scalarFallback(*M, "simt_fallback");
@@ -279,7 +262,6 @@ TEST(Simt, ScalarFallbackCarriesTarget) {
 // --- verifyKernel dispatch ------------------------------------------------
 
 TEST(Simt, VerifyKernelDispatchesOnKernelTarget) {
-  TargetEnvGuard G;
   ModulePtr M = makeTensorAdd({8, 16});
   CompileResult R = compileWithAkg(*M, simtOptions(), "simt_verify");
   ASSERT_TRUE(R.Outcome.isOk());
@@ -327,7 +309,6 @@ TEST(CompositeTarget, UnknownTargetIsAStructuredDiag) {
 }
 
 TEST(CompositeTarget, ServiceHonorsPayloadTarget) {
-  TargetEnvGuard G;
   ModulePtr M = makeTensorAdd({8, 16});
   composite::CompositeGraph CG =
       composite::moduleToComposite(*M, "svc_simt");
@@ -346,7 +327,6 @@ TEST(CompositeTarget, ServiceHonorsPayloadTarget) {
 // --- Trace target tag -----------------------------------------------------
 
 TEST(TraceTarget, TracesCarryTheResolvedTarget) {
-  TargetEnvGuard G;
   ModulePtr M = makeTensorAdd({8, 16});
   CompileResult RC = compileWithAkg(*M, AkgOptions{}, "trace_cce");
   EXPECT_EQ(RC.Trace.Target, "cce");
@@ -361,7 +341,6 @@ TEST(TraceTarget, TracesCarryTheResolvedTarget) {
 // --- Kernel-store round-trip of the target fields -------------------------
 
 TEST(SimtStore, SerializationPreservesTargetFields) {
-  TargetEnvGuard G;
   ModulePtr M = makeTensorAdd({16, 32});
   CompileResult R = compileWithAkg(*M, simtOptions(), "store_simt");
   ASSERT_TRUE(R.Outcome.isOk());

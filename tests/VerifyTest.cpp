@@ -11,7 +11,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "composite/Composite.h"
 #include "ir/ModuleUtils.h"
+#include "ir/Passes.h"
 #include "sim/Compare.h"
 #include "sim/Simulator.h"
 #include "verify/Generator.h"
@@ -267,6 +269,51 @@ TEST(SimTruncation, TinyBudgetSetsTruncatedWithoutCrashing) {
       R.Kernel, M, sim::MachineSpec::ascend910(), 1, &SR2);
   EXPECT_FALSE(SR2.Truncated);
   EXPECT_TRUE(D.within(2e-2)) << D.str();
+}
+
+// --- Fuzz regressions ---------------------------------------------------
+
+TEST(FuzzRepro, Seed53InliningSurvivesJsonRoundTrip) {
+  // The module akg-fuzz --seed 53 writes. Its JSON round trip has the
+  // same cache fingerprint but parses every shared index node apart, so
+  // under EnableInlining both must inline alike: the size test counts
+  // structurally distinct subtrees, not pointer-distinct nodes.
+  ir::Module M;
+  ir::Tensor T0 = M.placeholder("in0", {1, 4, 4, 5}, ir::DType::F16);
+  ir::Tensor T1 = M.placeholder("in1", {1, 4, 4, 5}, ir::DType::F16);
+  M.placeholder("in2", {4, 5}, ir::DType::F16);
+  auto At = [](const ir::Tensor &T, const std::vector<ir::Expr> &Ix) {
+    return ir::tensorRead(T, {Ix[0], Ix[1], Ix[2], Ix[3]});
+  };
+  ir::Tensor T3 = M.compute(
+      "op1", {1, 4, 4, 5},
+      [&](const std::vector<ir::Expr> &Ix) {
+        return ir::maxE(At(T1, Ix), At(T0, Ix));
+      },
+      ir::DType::F16);
+  ir::Tensor T4 = M.compute(
+      "op2", {1, 4, 4, 5},
+      [&](const std::vector<ir::Expr> &Ix) {
+        return ir::select(
+            ir::cmp(ir::ExprKind::CmpLT, At(T3, Ix), ir::floatImm(0.0)),
+            ir::mul(At(T3, Ix), ir::floatImm(0.5)), At(T3, Ix));
+      },
+      ir::DType::F16);
+  M.compute(
+      "op3", {1, 4, 4, 5},
+      [&](const std::vector<ir::Expr> &Ix) {
+        return ir::call("tanh", {At(T4, Ix)}, ir::DType::F16);
+      },
+      ir::DType::F16);
+
+  composite::FrontendResult F =
+      composite::loadComposite(composite::moduleToCompositeJson(M, "rt"));
+  ASSERT_TRUE(F.ok()) << F.Outcome.str();
+  EXPECT_EQ(ir::inlineElementwiseOps(M).ops().size(),
+            ir::inlineElementwiseOps(*F.Mod).ops().size());
+
+  verify::OracleReport Rep = verify::runOracle(M);
+  EXPECT_TRUE(Rep.Pass) << Rep.str();
 }
 
 } // namespace

@@ -17,9 +17,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "akg/CompileService.h"
+#include "akg/Environment.h"
 #include "graph/Networks.h"
-#include "support/Env.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -43,8 +42,10 @@ void usage() {
       "  --requests <n>     request count (default 50)\n"
       "  --threads <n>      service workers (default 4)\n"
       "  --deadline-ms <d>  per-request hard deadline (default 2000)\n"
-      "  --queue-depth <n>  admission queue bound (default AKG_QUEUE_DEPTH)\n"
-      "  --policy <p>       shed policy: reject | degrade\n"
+      "  --queue-depth <n>  admission queue bound (default AKG_QUEUE_DEPTH,\n"
+      "                     else 256)\n"
+      "  --policy <p>       shed policy: reject | degrade (default\n"
+      "                     AKG_SHED_POLICY, else reject)\n"
       "  --explain          print the seeded decisions, compile nothing\n");
 }
 
@@ -72,11 +73,13 @@ const char *actionName(ChaosAction::Kind K) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::string SpecText = env::get("AKG_CHAOS").value_or("");
+  const Environment Env = readEnvironment();
+  Env.installDiagnostics();
+  std::string SpecText = processEnv("AKG_CHAOS").value_or("");
   unsigned Requests = 50, Threads = 4;
   double DeadlineMs = 2000;
-  unsigned QueueDepth = 0;
   std::string Policy;
+  CompileService::Options SO = Env.Service;
   bool Explain = false;
 
   for (int I = 1; I < Argc; ++I) {
@@ -97,7 +100,7 @@ int main(int Argc, char **Argv) {
     else if (!std::strcmp(Argv[I], "--deadline-ms"))
       DeadlineMs = std::atof(Val("--deadline-ms"));
     else if (!std::strcmp(Argv[I], "--queue-depth"))
-      QueueDepth = static_cast<unsigned>(std::atoi(Val("--queue-depth")));
+      SO.QueueDepth = static_cast<unsigned>(std::atoi(Val("--queue-depth")));
     else if (!std::strcmp(Argv[I], "--policy"))
       Policy = Val("--policy");
     else if (!std::strcmp(Argv[I], "--explain"))
@@ -117,7 +120,7 @@ int main(int Argc, char **Argv) {
   }
 
   graph::NetworkModel Net = graph::buildResNet50();
-  AkgOptions Base;
+  AkgOptions Base = Env.Compile;
   Base.RequestDeadlineMs = DeadlineMs;
   std::vector<CompileJob> Jobs =
       networkCompileJobs(Net, Base, /*PerOccurrence=*/true);
@@ -140,10 +143,8 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  KernelCache Cache;
-  CompileService::Options SO;
+  KernelCache Cache(Env.Cache);
   SO.Threads = Threads;
-  SO.QueueDepth = QueueDepth;
   SO.Cache = &Cache;
   SO.Chaos = Spec->enabled() ? std::optional<ChaosSpec>(*Spec)
                              : std::nullopt;

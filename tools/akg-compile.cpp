@@ -2,9 +2,9 @@
 //
 // Compiles a single named operator through the full AKG pipeline and
 // prints what happened: tile sizes, degradation ladder, and the per-pass
-// compile trace summary. The library honors AKG_TRACE / AKG_FAIL_STAGE /
-// AKG_STATS as usual, which makes this the driver for the CI trace-schema
-// check (tools/check_trace.py):
+// compile trace summary. It reads AKG_TRACE / AKG_FAIL_STAGE / AKG_TARGET
+// / AKG_STATS at start (akg/Environment.h), which makes this the driver
+// for the CI trace-schema check (tools/check_trace.py):
 //
 //   AKG_TRACE=trace.jsonl akg-compile --op matmul
 //   AKG_FAIL_STAGE=storage AKG_TRACE=trace.jsonl akg-compile --op conv
@@ -20,7 +20,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "akg/Compiler.h"
+#include "akg/Environment.h"
 #include "composite/Composite.h"
 #include "graph/Ops.h"
 #include "sim/Simulator.h"
@@ -48,12 +48,13 @@ void usage() {
       "payload (--json, '-' reads stdin) with the AKG pipeline and prints\n"
       "the degradation report and compile trace. A top-level JSON array\n"
       "is a batch: every entry compiles, any failure exits 1.\n"
-      "--target selects the backend (default cce; a JSON payload's own\n"
-      "\"target\" key overrides it per entry). --dump-normalized prints\n"
-      "the canonical payload after transform-op elimination. Environment:\n"
+      "--target selects the backend (default AKG_TARGET, else cce; a JSON\n"
+      "payload's own \"target\" key overrides both per entry).\n"
+      "--dump-normalized prints the canonical payload after transform-op\n"
+      "elimination. Environment:\n"
       "  AKG_TRACE=<path|->   dump the trace (JSONL / stderr text)\n"
       "  AKG_FAIL_STAGE=<s>   force stage <s> onto its fallback\n"
-      "  AKG_TARGET=<t>       override the compile target (cce|simt)\n");
+      "  AKG_TARGET=<t>       default compile target (cce|simt)\n");
 }
 
 graph::ModulePtr makeOp(const std::string &Op) {
@@ -103,10 +104,12 @@ void printResult(const CompileResult &R, const std::string &Name,
 } // namespace
 
 int main(int Argc, char **Argv) {
+  const Environment Env = readEnvironment();
+  Env.installDiagnostics();
   std::string Op = "matmul";
   std::string JsonPath;
   bool DumpKernel = false, DumpNormalized = false;
-  AkgOptions Opts;
+  AkgOptions Opts = Env.Compile;
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--op") && I + 1 < Argc) {
       Op = Argv[++I];

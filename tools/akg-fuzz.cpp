@@ -14,13 +14,13 @@
 //
 // Environment: AKG_FUZZ_SEEDS / AKG_FUZZ_START / AKG_FUZZ_MATRIX /
 // AKG_FUZZ_DYNSHAPE provide defaults for CI wrappers; AKG_THREADS sizes
-// the determinism sweep.
+// the determinism sweep. The oracle's configs are explicit options, so no
+// other AKG_* variable changes what it compiles.
 //
 //===----------------------------------------------------------------------===//
 
-#include "akg/CompileService.h"
+#include "akg/Environment.h"
 #include "ir/ModuleUtils.h"
-#include "support/Env.h"
 #include "verify/Generator.h"
 #include "verify/Oracle.h"
 #include "verify/Reducer.h"
@@ -59,12 +59,12 @@ void usage() {
 }
 
 bool parseArgs(int Argc, char **Argv, Args &A) {
-  A.Seeds = uint64_t(env::getInt("AKG_FUZZ_SEEDS", int64_t(A.Seeds)));
-  A.Start = uint64_t(env::getInt("AKG_FUZZ_START", 0));
-  if (auto M = env::get("AKG_FUZZ_MATRIX"))
+  A.Seeds = uint64_t(envInt(processEnv, "AKG_FUZZ_SEEDS", int64_t(A.Seeds)));
+  A.Start = uint64_t(envInt(processEnv, "AKG_FUZZ_START", 0));
+  if (auto M = processEnv("AKG_FUZZ_MATRIX"))
     A.Level = (*M == "quick") ? verify::MatrixLevel::Quick
                               : verify::MatrixLevel::Full;
-  A.DynShape = env::getInt("AKG_FUZZ_DYNSHAPE", 0) != 0;
+  A.DynShape = envInt(processEnv, "AKG_FUZZ_DYNSHAPE", 0) != 0;
   for (int I = 1; I < Argc; ++I) {
     std::string S = Argv[I];
     auto Next = [&]() -> const char * {
@@ -170,6 +170,8 @@ void appendCorpus(const Args &A, uint64_t Seed, const std::string &Desc) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  const Environment Env = readEnvironment();
+  Env.installDiagnostics();
   Args A;
   if (!parseArgs(Argc, Argv, A))
     return 2;
@@ -181,7 +183,7 @@ int main(int Argc, char **Argv) {
   }
   verify::OracleOptions OO;
   OO.Level = A.Level;
-  OO.Threads = compileServiceThreads();
+  OO.Threads = Env.Service.Threads;
   if (OO.Threads < 2)
     OO.Threads = 4; // the determinism sweep needs a real N
 
