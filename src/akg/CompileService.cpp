@@ -12,27 +12,6 @@
 
 namespace akg {
 
-std::vector<CompileResult>
-compileModulesParallel(const std::vector<CompileJob> &Jobs,
-                       const CompileServiceOptions &Opts) {
-  ScopedTimer Timer("service.compile_batch");
-  unsigned Threads = std::max(1u, Opts.Threads);
-  std::vector<CompileResult> Results(Jobs.size());
-  KernelCache *Cache = Opts.Cache;
-  parallelFor(Threads, Jobs.size(), [&](size_t I) {
-    const CompileJob &J = Jobs[I];
-    Results[I] = Cache ? Cache->compileOrGet(*J.Mod, J.Opts, J.Name)
-                       : compileWithAkg(*J.Mod, J.Opts, J.Name);
-  });
-  if (Stats::enabled())
-    Stats::get().add("service.jobs", static_cast<int64_t>(Jobs.size()));
-  return Results;
-}
-
-//===----------------------------------------------------------------------===//
-// CompileService
-//===----------------------------------------------------------------------===//
-
 namespace {
 
 /// A service-fabricated result (shed, quarantined, chaos fault, cancel):

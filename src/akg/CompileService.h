@@ -35,27 +35,12 @@
 namespace akg {
 
 /// One compile request. The module must stay alive (and unmodified)
-/// until compileModulesParallel returns.
+/// until CompileService::compileAll returns.
 struct CompileJob {
   const ir::Module *Mod = nullptr;
   AkgOptions Opts;
   std::string Name;
 };
-
-struct CompileServiceOptions {
-  /// Worker threads; 0 and 1 run every job on the calling thread.
-  unsigned Threads = 1;
-  /// Content-addressed cache consulted per job; nullptr compiles every
-  /// job from scratch (the pre-cache behavior).
-  KernelCache *Cache = &KernelCache::global();
-};
-
-/// Compiles all jobs, fanning across workers, and returns results in job
-/// order. Identical kernels come out whether this runs on 1 thread, N
-/// threads, or entirely from a warm cache.
-std::vector<CompileResult>
-compileModulesParallel(const std::vector<CompileJob> &Jobs,
-                       const CompileServiceOptions &Opts = {});
 
 /// The compile jobs of one network model: one job per fused subgraph the
 /// graph engine produces, "network/layer" names, shared base options.
@@ -91,8 +76,8 @@ struct ServiceStats {
 /// The hardened compile front end: a fixed worker pool behind a bounded
 /// admission queue, per-request deadline/cancel inheritance, transient
 /// retry with exponential backoff, poison-pill quarantine, and seeded
-/// chaos injection. compileModulesParallel above remains the plain
-/// unbounded fan-out for callers that want none of this.
+/// chaos injection. With the default options none of that fires, and
+/// compileAll is a plain fan-out of a batch of jobs.
 class CompileService {
 public:
   /// Built-in defaults; akg/Environment.h fills Threads, QueueDepth,
@@ -164,7 +149,10 @@ public:
   std::vector<std::future<CompileResult>>
   submitJsonBatch(const std::string &JsonText, const AkgOptions &Opts);
 
-  /// Submits every job and waits; results in job order.
+  /// Submits every job and waits; results in job order. Each job is
+  /// admitted like a submit() call, so a batch larger than QueueDepth
+  /// plus the workers sheds its tail: set QueueDepth to at least the job
+  /// count to compile all of it.
   std::vector<CompileResult> compileAll(const std::vector<CompileJob> &Jobs);
 
   ServiceStats stats() const;

@@ -92,23 +92,15 @@ Expr linearNormalize(const Expr &E) {
   return R;
 }
 
-} // namespace
-
-Expr simplifyExpr(const Expr &E) {
-  if (!E)
-    return E;
-  if (E->Operands.empty())
-    return E;
-  std::vector<Expr> Ops;
-  Ops.reserve(E->Operands.size());
-  bool Changed = false;
-  for (const Expr &Op : E->Operands) {
-    Expr S = simplifyExpr(Op);
-    Changed |= (S != Op);
-    Ops.push_back(std::move(S));
-  }
+/// The per-node rules of simplifyExpr: rewrites \p E as if its operands
+/// were \p Ops, which are already simplified.
+Expr simplifyNode(const Expr &E, const std::vector<Expr> &Ops) {
+  // A node a rule builds from simplified parts gets only its own rules:
+  // simplifying the parts again at every level is exponential in the
+  // depth of nested min/max bounds.
+  auto Built = [](const Expr &N) { return simplifyNode(N, N->Operands); };
   auto Rebuilt = [&]() -> Expr {
-    if (!Changed)
+    if (Ops == E->Operands)
       return E;
     auto N = std::make_shared<ExprNode>(*E);
     N->Operands = Ops;
@@ -133,9 +125,9 @@ Expr simplifyExpr(const Expr &E) {
     // Distribute over min/max so tile-relative bounds cancel:
     // min(a,b) - c -> min(a-c, b-c).
     if (Ops[0]->Kind == ExprKind::Min || Ops[0]->Kind == ExprKind::Max) {
-      Expr L = simplifyExpr(sub(Ops[0]->Operands[0], Ops[1]));
-      Expr R = simplifyExpr(sub(Ops[0]->Operands[1], Ops[1]));
-      return simplifyExpr(binary(Ops[0]->Kind, L, R));
+      Expr L = Built(sub(Ops[0]->Operands[0], Ops[1]));
+      Expr R = Built(sub(Ops[0]->Operands[1], Ops[1]));
+      return Built(binary(Ops[0]->Kind, L, R));
     }
     Expr Lin = linearNormalize(sub(Ops[0], Ops[1]));
     if (Lin->Kind == ExprKind::IntImm ||
@@ -180,7 +172,7 @@ Expr simplifyExpr(const Expr &E) {
     }
     // min/max with a provably constant difference collapses.
     {
-      Expr Diff = simplifyExpr(sub(Ops[0], Ops[1]));
+      Expr Diff = Built(sub(Ops[0], Ops[1]));
       int64_t D;
       if (isConstInt(Diff, &D)) {
         bool PickFirst = (E->Kind == ExprKind::Min) == (D <= 0);
@@ -237,13 +229,25 @@ Expr simplifyExpr(const Expr &E) {
       // Collapse cast(cast(x)) when the inner cast does not narrow.
       const Expr &Inner = Ops[0]->Operands[0];
       if (dtypeBytes(Ops[0]->Type) >= dtypeBytes(Inner->Type))
-        return simplifyExpr(cast(E->Type, Inner));
+        return Built(cast(E->Type, Inner));
     }
     break;
   default:
     break;
   }
   return Rebuilt();
+}
+
+} // namespace
+
+Expr simplifyExpr(const Expr &E) {
+  if (!E || E->Operands.empty())
+    return E;
+  std::vector<Expr> Ops;
+  Ops.reserve(E->Operands.size());
+  for (const Expr &Op : E->Operands)
+    Ops.push_back(simplifyExpr(Op));
+  return simplifyNode(E, Ops);
 }
 
 Stmt simplifyStmt(const Stmt &S) {

@@ -24,7 +24,8 @@
 // Effectiveness is observable through the astgen.* Stats counters
 // (astgen.proj_memo_hit, astgen.implied_syntactic, astgen.lp_avoided,
 // astgen.incremental_refinements, ...), surfaced per-pass in compile
-// traces and in bench/compile_time's JSON totals.
+// traces and in the repo benchmark's per-layer ledger (perfbench
+// astgen.memo_hit_rate and astgen.lp_avoided).
 //
 //===----------------------------------------------------------------------===//
 

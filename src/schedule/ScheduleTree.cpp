@@ -109,7 +109,7 @@ void walkTree(const TreeNode *N,
   if (!N || !Fn(N))
     return;
   for (const auto &C : N->Children)
-    walkTree(C.get(), Fn);
+    walkTree(static_cast<const TreeNode *>(C.get()), Fn);
 }
 
 TreeNode *findNode(TreeNode *Root,

@@ -281,13 +281,15 @@ OracleReport runOracle(const ir::Module &M, const OracleOptions &Opts) {
   // The three passes must produce byte-identical kernel text and
   // bit-identical functional outputs.
   KernelCache ColdCache1, ColdCacheN;
-  AkgOptions Base;
-  std::vector<CompileJob> Jobs(3, CompileJob{&M, Base, "oracle_det"});
-  CompileServiceOptions S1{1, &ColdCache1};
-  CompileServiceOptions SN{Opts.Threads, &ColdCacheN};
-  std::vector<CompileResult> A = compileModulesParallel(Jobs, S1);
-  std::vector<CompileResult> B = compileModulesParallel(Jobs, SN);
-  std::vector<CompileResult> C = compileModulesParallel(Jobs, SN); // warm
+  std::vector<CompileJob> Jobs(3, CompileJob{&M, AkgOptions{}, "oracle_det"});
+  CompileService::Options S1, SN;
+  S1.Cache = &ColdCache1;
+  SN.Threads = Opts.Threads;
+  SN.Cache = &ColdCacheN;
+  CompileService One(S1), Many(SN);
+  std::vector<CompileResult> A = One.compileAll(Jobs);
+  std::vector<CompileResult> B = Many.compileAll(Jobs);
+  std::vector<CompileResult> C = Many.compileAll(Jobs); // warm
 
   std::string RefText = cce::printKernel(A.front().Kernel);
   ConfigOutcome Det1 = Check("threads1", A.front());

@@ -1,8 +1,9 @@
 //===- tests/CompileServiceTest.cpp - Parallel compile service ------------===//
 //
 // The compile service's determinism contract: the Fig 13 network set
-// compiled on 1 thread, on 4 threads, and from a warm cache produces
-// bit-identical CCE kernel dumps and identical DegradationReports.
+// compiled on 1 or 4 threads, with no cache, a cold cache or a warm one,
+// produces bit-identical CCE kernel dumps and identical
+// DegradationReports.
 // Also unit-tests the thread pool, the service's job expansion, and the
 // thread safety of the Stats singleton the workers share.
 //
@@ -25,6 +26,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 using namespace akg;
@@ -130,58 +132,91 @@ TEST(CompileService, NetworkJobsExpandOccurrences) {
   EXPECT_EQ(Distinct.front().Name, N.Name + "/" + N.Layers.front().Name);
 }
 
-/// The satellite contract: the Fig 13 network set compiled at 1 and 4
-/// threads (and again from the warm cache) yields identical CCE kernel
-/// dumps and identical DegradationReports.
+/// The determinism contract: the Fig 13 network set yields identical
+/// kernel dumps and DegradationReports compiled on 1 thread without a
+/// cache (the sequential pipeline), on 4 threads without a cache, and on
+/// 4 threads through a cold and then a warm cache. The cached passes
+/// serve the per-occurrence stream (one request per subgraph instance),
+/// so requests that waited on another's in-flight compile of the same
+/// subgraph are compared too.
 TEST(CompileService, Fig13NetworksDeterministicAcrossThreadCounts) {
   NetworkModel Nets[6] = {buildResNet50(), buildMobileNetV2(),
                           buildAlexNet(), buildBert(21128),
                           buildBert(30522), buildSsd()};
   AkgOptions Base;
-  std::vector<CompileJob> Jobs;
+  std::vector<CompileJob> Jobs, Stream;
   for (const NetworkModel &N : Nets) {
     std::vector<CompileJob> J = networkCompileJobs(N, Base);
     Jobs.insert(Jobs.end(), J.begin(), J.end());
+    J = networkCompileJobs(N, Base, /*PerOccurrence=*/true);
+    Stream.insert(Stream.end(), J.begin(), J.end());
   }
   ASSERT_GT(Jobs.size(), 30u);
+  ASSERT_EQ(Stream.size(), 418u);
 
-  KernelCache Cache1;
-  CompileServiceOptions One;
-  One.Threads = 1;
-  One.Cache = &Cache1;
-  std::vector<CompileResult> R1 = compileModulesParallel(Jobs, One);
-
-  KernelCache Cache4;
-  CompileServiceOptions Four;
-  Four.Threads = 4;
-  Four.Cache = &Cache4;
-  std::vector<CompileResult> R4 = compileModulesParallel(Jobs, Four);
-  KernelCacheStats Cold = Cache4.stats();
-
-  // Same jobs against the already-warm 4-thread cache.
-  std::vector<CompileResult> RW = compileModulesParallel(Jobs, Four);
-
-  ASSERT_EQ(R1.size(), Jobs.size());
-  ASSERT_EQ(R4.size(), Jobs.size());
-  ASSERT_EQ(RW.size(), Jobs.size());
+  auto Options = [](unsigned Threads, KernelCache *Cache, size_t NJobs) {
+    CompileService::Options SO;
+    SO.Threads = Threads;
+    SO.Cache = Cache;
+    SO.QueueDepth = static_cast<unsigned>(NJobs); // admit the whole batch
+    return SO;
+  };
+  std::vector<CompileResult> Seq =
+      CompileService(Options(1, nullptr, Jobs.size())).compileAll(Jobs);
+  std::vector<CompileResult> NoCache4 =
+      CompileService(Options(4, nullptr, Jobs.size())).compileAll(Jobs);
+  ASSERT_EQ(Seq.size(), Jobs.size());
+  ASSERT_EQ(NoCache4.size(), Jobs.size());
+  std::map<std::string, size_t> JobOf;
   for (size_t I = 0; I < Jobs.size(); ++I) {
-    std::string D1 = cce::printKernel(R1[I].Kernel);
-    EXPECT_EQ(D1, cce::printKernel(R4[I].Kernel))
-        << Jobs[I].Name << ": 1-thread vs 4-thread kernels differ";
-    EXPECT_EQ(D1, cce::printKernel(RW[I].Kernel))
-        << Jobs[I].Name << ": cold vs warm kernels differ";
-    EXPECT_EQ(R1[I].Degradation.str(), R4[I].Degradation.str())
-        << Jobs[I].Name << ": degradation reports differ across threads";
-    EXPECT_EQ(R1[I].Degradation.str(), RW[I].Degradation.str())
-        << Jobs[I].Name << ": degradation reports differ cold vs warm";
-    EXPECT_EQ(R1[I].Kernel.Name, Jobs[I].Name); // results in job order
+    JobOf[Jobs[I].Name] = I;
+    const std::string &Name = Jobs[I].Name;
+    EXPECT_EQ(Seq[I].Kernel.Name, Name); // results in job order
+    EXPECT_EQ(NoCache4[I].Kernel.Name, Name);
+    EXPECT_EQ(cce::printKernel(Seq[I].Kernel),
+              cce::printKernel(NoCache4[I].Kernel))
+        << Name << ": 1-thread vs 4-thread kernels differ";
+    EXPECT_EQ(Seq[I].Degradation.str(), NoCache4[I].Degradation.str())
+        << Name << ": degradation reports differ across threads";
   }
-  // The warm pass must have been served entirely from the cache: every
-  // job a hit, no new compiles. (The cold pass can record a few hits of
-  // its own - BERT's two vocabularies share most of their layers.)
-  KernelCacheStats S = Cache4.stats();
-  EXPECT_EQ(S.Hits - Cold.Hits, static_cast<int64_t>(Jobs.size()));
-  EXPECT_EQ(S.Misses, Cold.Misses);
+
+  KernelCache Cache;
+  CompileService Svc(Options(4, &Cache, Stream.size()));
+  std::vector<CompileResult> Cold = Svc.compileAll(Stream);
+  KernelCacheStats ColdStats = Cache.stats();
+  std::vector<CompileResult> Warm = Svc.compileAll(Stream);
+  ASSERT_EQ(Cold.size(), Stream.size());
+  ASSERT_EQ(Warm.size(), Stream.size());
+  for (size_t I = 0; I < Stream.size(); ++I) {
+    const std::string &Name = Stream[I].Name;
+    const CompileResult &Ref = Seq[JobOf.at(Name.substr(0, Name.find('#')))];
+    cce::Kernel RefKernel = Ref.Kernel;
+    RefKernel.Name = Name; // "net/layer#2" is an occurrence of "net/layer"
+    std::string RefText = cce::printKernel(RefKernel);
+    EXPECT_EQ(Cold[I].Kernel.Name, Name);
+    EXPECT_EQ(Warm[I].Kernel.Name, Name);
+    EXPECT_EQ(RefText, cce::printKernel(Cold[I].Kernel))
+        << Name << ": sequential vs cold-cache kernels differ";
+    EXPECT_EQ(RefText, cce::printKernel(Warm[I].Kernel))
+        << Name << ": sequential vs warm-cache kernels differ";
+    EXPECT_EQ(Ref.Degradation.str(), Cold[I].Degradation.str())
+        << Name << ": degradation reports differ sequential vs cold";
+    EXPECT_EQ(Ref.Degradation.str(), Warm[I].Degradation.str())
+        << Name << ": degradation reports differ sequential vs warm";
+  }
+  // Single flight: the cold pass compiled each distinct fingerprint once
+  // (BERT's two vocabularies share most of their layers); every other
+  // request was a hit or waited on the leader. The warm pass was served
+  // entirely from the cache.
+  std::unordered_set<CacheKey, CacheKeyHash> Keys;
+  for (const CompileJob &J : Stream)
+    Keys.insert(makeCacheKey(*J.Mod, J.Opts));
+  EXPECT_EQ(ColdStats.Misses, static_cast<int64_t>(Keys.size()));
+  EXPECT_EQ(ColdStats.Misses + ColdStats.Hits + ColdStats.Coalesced,
+            static_cast<int64_t>(Stream.size()));
+  KernelCacheStats S = Cache.stats();
+  EXPECT_EQ(S.Hits - ColdStats.Hits, static_cast<int64_t>(Stream.size()));
+  EXPECT_EQ(S.Misses, ColdStats.Misses);
 }
 
 // --- Chaos spec: grammar + seeded determinism (DESIGN.md 4h) -------------
@@ -521,10 +556,10 @@ TEST(CompileService, ChaosRunMatchesChaosFreeKernels) {
       networkCompileJobs(N, Base, /*PerOccurrence=*/true);
 
   KernelCache RefCache;
-  CompileServiceOptions RO;
+  CompileService::Options RO;
   RO.Threads = 2;
   RO.Cache = &RefCache;
-  std::vector<CompileResult> Ref = compileModulesParallel(Jobs, RO);
+  std::vector<CompileResult> Ref = CompileService(RO).compileAll(Jobs);
 
   ChaosSpec Spec;
   Spec.Seed = 42;
@@ -560,13 +595,18 @@ TEST(CompileService, NullCacheCompilesEveryJob) {
   AkgOptions Base;
   std::vector<CompileJob> Jobs =
       networkCompileJobs(N, Base, /*PerOccurrence=*/true);
-  CompileServiceOptions SO;
+  CompileService::Options SO;
   SO.Threads = 2;
   SO.Cache = nullptr; // pre-cache behavior: compile everything
-  std::vector<CompileResult> R = compileModulesParallel(Jobs, SO);
+  SO.QueueDepth = static_cast<unsigned>(Jobs.size()); // admit the batch
+  CompileService Svc(SO);
+  std::vector<CompileResult> R = Svc.compileAll(Jobs);
   ASSERT_EQ(R.size(), Jobs.size());
   for (size_t I = 0; I < Jobs.size(); ++I)
     EXPECT_EQ(R[I].Kernel.Name, Jobs[I].Name);
+  ServiceStats S = Svc.stats();
+  EXPECT_EQ(S.Completed, static_cast<int64_t>(Jobs.size()));
+  EXPECT_EQ(S.Shed, 0);
 }
 
 } // namespace

@@ -290,37 +290,80 @@ TEST(KernelStore, TwoProcessesShareAStore) {
 // Tiered cache integration (memory -> disk -> compile)
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Fifteen Fig 9 shapes, three each of conv, matmul, batched matmul,
+/// tensor add and batch-norm reduce.
+std::vector<graph::ModulePtr> fig09Stream() {
+  std::vector<graph::ModulePtr> S;
+  int64_t Conv[3][4] = {{32, 28, 28, 32}, {64, 14, 14, 64}, {64, 7, 7, 128}};
+  for (auto &C : Conv)
+    S.push_back(graph::makeConv(16, C[0], C[1], C[2], C[3], 3, 3, 1, 1));
+  int64_t Mm[3][3] = {{512, 512, 512}, {1024, 1024, 256}, {768, 768, 768}};
+  for (auto &C : Mm)
+    S.push_back(graph::makeMatmul(C[0], C[1], C[2]));
+  int64_t Bmm[3][3] = {{128, 128, 128}, {64, 192, 64}, {192, 64, 64}};
+  for (auto &C : Bmm)
+    S.push_back(graph::makeBatchMatmul(16, C[0], C[1], C[2]));
+  for (int64_t I = 0; I < 3; ++I)
+    S.push_back(graph::makeTensorAdd({16, 48 + 24 * I, 24, 24}));
+  for (int64_t I = 0; I < 3; ++I)
+    S.push_back(graph::makeBnReduce(16, 32 + 16 * I, 14, 14));
+  return S;
+}
+
+} // namespace
+
 TEST(KernelStoreTiered, SecondProcessServesFirstRequestFromDisk) {
   // Simulated restart: two distinct in-memory caches (cold memory tier)
-  // over one disk directory. The second cache's FIRST request must be
-  // served from disk - observable via stats().DiskHits and the cache_hit
-  // trace marker - without recompiling.
+  // over one disk directory serve the same stream. Every first request
+  // of the second cache must be served from disk - observable via
+  // stats().DiskHits and the cache_hit trace marker - and its compile
+  // function must never run.
   KernelCacheConfig Cfg;
-  Cfg.MaxEntries = 16;
+  Cfg.MaxEntries = 32;
   Cfg.DiskDir = freshDir("tiered");
-  auto M = graph::makeTensorAdd({4, 8, 4});
+  std::vector<graph::ModulePtr> Stream = fig09Stream();
   AkgOptions Opts;
+  auto NameOf = [](size_t I) { return "proc" + std::to_string(I); };
 
   KernelCache Cold1(Cfg);
-  CompileResult First = Cold1.compileOrGet(*M, Opts, "proc");
-  ASSERT_TRUE(First.Outcome.isOk());
-  EXPECT_EQ(Cold1.stats().DiskHits, 0); // fresh dir: compiled, persisted
+  std::vector<std::string> Texts;
+  for (size_t I = 0; I < Stream.size(); ++I) {
+    CompileResult R = Cold1.compileOrGet(*Stream[I], Opts, NameOf(I));
+    ASSERT_TRUE(R.Outcome.isOk()) << NameOf(I);
+    Texts.push_back(cce::printKernel(R.Kernel));
+  }
+  KernelCacheStats S1 = Cold1.stats();
+  EXPECT_EQ(S1.DiskHits, 0); // fresh dir: compiled, persisted
+  EXPECT_EQ(S1.Misses, static_cast<int64_t>(Stream.size()));
 
+  int Compiles = 0;
+  KernelCache::CompileFn Counting = [&](const Module &M, const AkgOptions &O,
+                                        const std::string &N) {
+    ++Compiles;
+    return compileWithAkg(M, O, N);
+  };
   KernelCache Cold2(Cfg);
-  CompileResult Second = Cold2.compileOrGet(*M, Opts, "proc");
-  ASSERT_TRUE(Second.Outcome.isOk());
-  EXPECT_EQ(Cold2.stats().DiskHits, 1);
+  for (size_t I = 0; I < Stream.size(); ++I) {
+    CompileResult R =
+        Cold2.compileOrGet(*Stream[I], Opts, NameOf(I), Counting);
+    ASSERT_TRUE(R.Outcome.isOk()) << NameOf(I);
+    ASSERT_FALSE(R.Trace.Events.empty());
+    EXPECT_EQ(R.Trace.Events[0].Pass, "cache_hit");
+    EXPECT_NE(R.Trace.Events[0].Note.find("disk"), std::string::npos);
+    EXPECT_TRUE(R.Trace.CacheHit);
+    EXPECT_EQ(Texts[I], cce::printKernel(R.Kernel)) << NameOf(I);
+  }
+  EXPECT_EQ(Compiles, 0);
+  EXPECT_EQ(Cold2.stats().DiskHits, S1.Misses);
+  EXPECT_EQ(Cold2.stats().Misses, S1.Misses);
   EXPECT_EQ(Cold2.stats().Hits, 0);
-  ASSERT_FALSE(Second.Trace.Events.empty());
-  EXPECT_EQ(Second.Trace.Events[0].Pass, "cache_hit");
-  EXPECT_NE(Second.Trace.Events[0].Note.find("disk"), std::string::npos);
-  EXPECT_TRUE(Second.Trace.CacheHit);
-  EXPECT_EQ(cce::printKernel(First.Kernel),
-            cce::printKernel(Second.Kernel));
   // And the request after that is a pure memory hit.
-  CompileResult Third = Cold2.compileOrGet(*M, Opts, "proc2b");
+  CompileResult Again = Cold2.compileOrGet(*Stream[0], Opts, "again", Counting);
   EXPECT_EQ(Cold2.stats().Hits, 1);
-  EXPECT_EQ(Third.Trace.Events[0].Pass, "cache_hit");
+  EXPECT_EQ(Again.Trace.Events[0].Pass, "cache_hit");
+  EXPECT_EQ(Compiles, 0);
 }
 
 //===----------------------------------------------------------------------===//

@@ -223,10 +223,12 @@ TEST(Simt, CompileIsDeterministicAcrossServiceThreads) {
   std::vector<CompileJob> Jobs(3, CompileJob{M.get(), simtOptions(),
                                              "simt_threads"});
   KernelCache C1, CN;
-  CompileServiceOptions S1{1, &C1};
-  CompileServiceOptions SN{4, &CN};
-  std::vector<CompileResult> A = compileModulesParallel(Jobs, S1);
-  std::vector<CompileResult> B = compileModulesParallel(Jobs, SN);
+  CompileService::Options S1, SN;
+  S1.Cache = &C1;
+  SN.Threads = 4;
+  SN.Cache = &CN;
+  std::vector<CompileResult> A = CompileService(S1).compileAll(Jobs);
+  std::vector<CompileResult> B = CompileService(SN).compileAll(Jobs);
   std::string Ref = cce::printKernel(A.front().Kernel);
   EXPECT_NE(Ref.find("__simt__"), std::string::npos);
   for (const CompileResult &R : A)

@@ -316,4 +316,14 @@ TEST(FuzzRepro, Seed53InliningSurvivesJsonRoundTrip) {
   EXPECT_TRUE(Rep.Pass) << Rep.str();
 }
 
+TEST(FuzzRepro, Seed92NestedMinMaxBoundsSimplifyInLinearTime) {
+  // An 11x6 matmul with a bias and a halo read. Under the oracle's tile4
+  // config its loop bounds are 6-deep max/min chains of min(3 + 4*c0, 8)
+  // terms. simplifyExpr must not simplify again the operands of a node it
+  // builds from already-simplified parts (a Sub distributed over min/max,
+  // a min/max difference probe): that is exponential in the chain depth.
+  verify::OracleReport Rep = verify::runOracle(verify::generateModule(92));
+  EXPECT_TRUE(Rep.Pass) << Rep.str();
+}
+
 } // namespace

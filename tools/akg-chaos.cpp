@@ -7,18 +7,22 @@
 // grammar; --spec wins), so the same scenario replays bit-identically
 // from its seed:
 //
-//   akg-chaos --spec seed=42,fault=0.1,delay=0.1:20 --requests 50 \
+//   akg-chaos --spec seed=42,fault=0.1,delay=0.1:20 --requests 50
 //             --threads 4 --deadline-ms 2000
 //   akg-chaos --explain --spec seed=42,fault=0.3   # decisions only
 //
 // The workload is the Fig-13 ResNet-50 subgraph stream (one request per
-// layer occurrence), capped by --requests. Exit code 1 on a hung request
-// (a request that neither completed nor was shed) or a malformed spec.
+// layer occurrence), capped by --requests. After the chaos run the same
+// stream is compiled again by a chaos-free service as the reference.
+// Exit code 1 on a hung request (a request that neither completed nor
+// was shed), on a request that finished ok without being shed but got a
+// kernel different from its reference, or on a malformed spec.
 //
 //===----------------------------------------------------------------------===//
 
 #include "akg/Environment.h"
 #include "graph/Networks.h"
+#include "target/CceIr.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -201,5 +205,33 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   std::printf("zero hung requests\n");
+
+  // Chaos-free reference: the same stream through a service without
+  // chaos or deadlines, with its own cold cache and room to admit every
+  // request, so each reference compile runs to completion.
+  std::vector<CompileJob> RefJobs = Jobs;
+  for (CompileJob &J : RefJobs)
+    J.Opts.RequestDeadlineMs = 0;
+  KernelCache RefCache(Env.Cache);
+  CompileService::Options RO = SO;
+  RO.Chaos.reset();
+  RO.Cache = &RefCache;
+  RO.QueueDepth = static_cast<unsigned>(Jobs.size());
+  std::vector<CompileResult> Ref = CompileService(RO).compileAll(RefJobs);
+  size_t Clean = 0, Mismatches = 0;
+  for (size_t I = 0; I < Jobs.size(); ++I) {
+    if (!Res[I].Outcome.isOk() || Res[I].Trace.find("shed"))
+      continue;
+    ++Clean;
+    if (cce::printKernel(Res[I].Kernel) != cce::printKernel(Ref[I].Kernel)) {
+      std::fprintf(stderr, "FAIL: %s differs from the chaos-free kernel\n",
+                   Jobs[I].Name.c_str());
+      ++Mismatches;
+    }
+  }
+  if (Mismatches)
+    return 1;
+  std::printf("all %zu clean kernels bit-identical to the chaos-free run\n",
+              Clean);
   return 0;
 }

@@ -128,43 +128,10 @@ def main():
             if WALL_KEY in brec:
                 check_wall(name, op, brec[WALL_KEY], crec.get(WALL_KEY),
                            gate=False)
-        if WALL_KEY in base.get("totals", {}):
-            check_wall(name, "totals", base["totals"][WALL_KEY],
-                       cur.get("totals", {}).get(WALL_KEY), gate=True)
-        # Per-stage wall breakdown (stage_wall.<pass>, from the compile
-        # traces). Most stages are too small and too noisy to gate and are
-        # reported informationally, but stage_wall.ast_gen gates at the
-        # wall tolerance: AST generation was the dominant cold-path cost
-        # (ISSUE 7) and its fast paths must not silently rot back into the
-        # per-statement LP storm.
-        GATED_STAGES = {"stage_wall.ast_gen"}
         btotals, ctotals = base.get("totals", {}), cur.get("totals", {})
-        for key in sorted(btotals):
-            if not key.startswith("stage_wall."):
-                continue
-            gated = key in GATED_STAGES
-            bval, cval = btotals[key], ctotals.get(key)
-            if not isinstance(bval, (int, float)) or bval <= 0:
-                continue
-            if not isinstance(cval, (int, float)):
-                if gated:
-                    failures.append(f"{name}: totals.{key} vanished")
-                else:
-                    print(f"{name} totals.{key}: {bval:.3f}s -> (missing)")
-                continue
-            ratio = cval / bval
-            marker = " [informational]"
-            if gated:
-                marker = ""
-                if ratio > args.wall_tolerance:
-                    failures.append(
-                        f"{name}: totals.{key} regressed {ratio:.2f}x "
-                        f"({bval:.3f}s -> {cval:.3f}s, tolerance "
-                        f"{args.wall_tolerance:.2f}x)")
-                    marker = "  <-- FAIL"
-            if abs(ratio - 1.0) >= 0.05 or marker.endswith("FAIL"):
-                print(f"{name} totals.{key}: {bval:.3f}s -> {cval:.3f}s "
-                      f"({ratio:.2f}x){marker}")
+        if WALL_KEY in btotals:
+            check_wall(name, "totals", btotals[WALL_KEY],
+                       ctotals.get(WALL_KEY), gate=True)
         # Latency percentiles: informational deltas only.
         for key in sorted(btotals):
             if not is_percentile_key(key):
